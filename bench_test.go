@@ -174,6 +174,8 @@ func BenchmarkTransform(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Transform(test, model.Shapelets)
+		if _, err := Transform(context.Background(), test, model.Shapelets); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -20,11 +20,9 @@
 //	-show N      print the first N shapelets as sparklines (default 3)
 //	-save FILE   write the trained model to FILE as JSON
 //	-load FILE   classify with a previously saved model instead of training
-//	-dist-kernel auto|rolling|fft  force the shapelet transform's distance
-//	             kernel (debugging/measurement; output identical for any value)
-//	-precision float64|float32  transform kernel arithmetic width; float64
-//	             (default) is byte-deterministic, float32 trades documented
-//	             tolerance for throughput
+//	-precision float64|float32  shapelet-transform arithmetic width in fit
+//	             and predict; float64 (default) is byte-deterministic, float32
+//	             trades documented tolerance for throughput
 //
 // Observability (see internal/obs):
 //
@@ -57,7 +55,6 @@ import (
 	"time"
 
 	ips "ips"
-	"ips/internal/classify"
 	"ips/internal/dist"
 	"ips/internal/obs"
 	"ips/internal/ucr"
@@ -83,7 +80,6 @@ func main() {
 	spans := flag.Bool("spans", false, "print the span tree after the run")
 	progress := flag.Bool("progress", false, "stream stage progress to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof, expvar, /metrics, and /debug/flight on this address (e.g. :6060)")
-	distKernel := flag.String("dist-kernel", "auto", "force the transform's distance kernel: auto, rolling, or fft (output identical)")
 	precision := flag.String("precision", "float64", "transform kernel arithmetic: float64 (byte-deterministic) or float32 (faster, approximate)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long, e.g. 30s or 5m (0 = no limit)")
 	flag.Parse()
@@ -101,17 +97,10 @@ func main() {
 		defer cancel()
 	}
 
-	if k, err := dist.ParseKernel(*distKernel); err != nil {
+	prec, err := dist.ParsePrecision(*precision)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ips:", err)
 		os.Exit(2)
-	} else {
-		classify.DefaultKernel = k
-	}
-	if p, err := dist.ParsePrecision(*precision); err != nil {
-		fmt.Fprintln(os.Stderr, "ips:", err)
-		os.Exit(2)
-	} else {
-		classify.DefaultPrecision = p
 	}
 
 	train, test, err := loadData(ctx, *dataset, *data, *trainPath, *testPath, *seed)
@@ -166,11 +155,12 @@ func main() {
 	opt.DABF.Seed = *seed
 	opt.SVM.Seed = *seed
 	opt.Workers = *workers
+	opt.Precision = prec
 	opt.Obs = o
 
 	config := map[string]any{
 		"k": *k, "qn": *qn, "qs": *qs, "workers": *workers,
-		"dist_kernel": *distKernel, "dataset": *dataset,
+		"precision": *precision, "dataset": *dataset,
 		"train": *trainPath, "test": *testPath,
 	}
 	writeManifest := func(acc *float64, runErr error) {

@@ -38,9 +38,10 @@
 //	             (e.g. BENCH_transform.json)
 //	-streamout FILE  write the "stream" experiment's report as JSON
 //	             (e.g. BENCH_stream.json)
-//	-dist-kernel auto|rolling|fft  force the transform's distance kernel
-//	-precision float64|float32  transform kernel arithmetic width
-//	             (debugging/measurement; results identical for any value)
+//	-precision float64|float32  shapelet-transform arithmetic width of the
+//	             IPS runs and the transform bench; float64 (default) is
+//	             byte-deterministic, float32 trades documented tolerance for
+//	             throughput
 //
 // Observability (see internal/obs):
 //
@@ -66,23 +67,10 @@ import (
 	"time"
 
 	"ips/internal/bench"
-	"ips/internal/classify"
 	"ips/internal/dist"
 	"ips/internal/errs"
 	"ips/internal/obs"
 )
-
-// setDistKernel applies the -dist-kernel flag: it forces the shapelet
-// transform's distance kernel globally.  Results are identical for any
-// kernel; the flag exists for measurement and debugging.
-func setDistKernel(name string) error {
-	k, err := dist.ParseKernel(name)
-	if err != nil {
-		return err
-	}
-	classify.DefaultKernel = k
-	return nil
-}
 
 func main() {
 	quick := flag.Bool("quick", true, "cap dataset sizes for a CI-scale run")
@@ -95,7 +83,6 @@ func main() {
 	mpOut := flag.String("mpout", "", "write the mp experiment's kernel report as JSON to this file")
 	tfOut := flag.String("tfout", "", "write the transform experiment's report as JSON to this file")
 	streamOut := flag.String("streamout", "", "write the stream experiment's report as JSON to this file")
-	distKernel := flag.String("dist-kernel", "auto", "force the transform's distance kernel: auto, rolling, or fft (results identical)")
 	precision := flag.String("precision", "float64", "transform kernel arithmetic: float64 (byte-deterministic) or float32 (faster, approximate)")
 	logLevel := flag.String("log-level", "off", "structured log level: off, debug, info, warn, or error")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
@@ -118,15 +105,10 @@ func main() {
 		defer cancel()
 	}
 
-	if err := setDistKernel(*distKernel); err != nil {
+	prec, err := dist.ParsePrecision(*precision)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ipsbench:", err)
 		os.Exit(2)
-	}
-	if p, err := dist.ParsePrecision(*precision); err != nil {
-		fmt.Fprintln(os.Stderr, "ipsbench:", err)
-		os.Exit(2)
-	} else {
-		classify.DefaultPrecision = p
 	}
 
 	if flag.NArg() == 0 {
@@ -154,14 +136,15 @@ func main() {
 	}
 
 	h := &bench.Harness{
-		Quick:   *quick && !*full,
-		DataDir: *data,
-		Seed:    *seed,
-		K:       *k,
-		Runs:    *runs,
-		Out:     os.Stdout,
-		Obs:     o,
-		Workers: *workers,
+		Quick:     *quick && !*full,
+		DataDir:   *data,
+		Seed:      *seed,
+		K:         *k,
+		Runs:      *runs,
+		Out:       os.Stdout,
+		Obs:       o,
+		Workers:   *workers,
+		Precision: prec,
 	}
 
 	experiments := map[string]func() error{
@@ -247,7 +230,7 @@ func main() {
 			Config: map[string]any{
 				"experiments": strings.Join(names, ","),
 				"quick":       *quick && !*full, "k": *k, "runs": *runs,
-				"workers": *workers, "dist_kernel": *distKernel,
+				"workers": *workers, "precision": *precision,
 			},
 			Err: runErr, Flight: flight,
 		})

@@ -43,6 +43,7 @@ var analyzers = []*Analyzer{
 	wallclockAnalyzer,
 	hotallocAnalyzer,
 	ctxflowAnalyzer,
+	globalwriteAnalyzer,
 }
 
 func analyzerByName(name string) *Analyzer {

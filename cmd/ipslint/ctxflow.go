@@ -2,7 +2,7 @@ package main
 
 // ctxflowAnalyzer upgrades the syntactic ctxfirst rule with a module-local
 // call-graph walk.  Long-running work is marked with a //ips:blocking doc
-// directive (mp.SelfJoin, dist.Batch evaluation, SVM training).  For every
+// directive (mp.SelfJoinCtx, dist.Batch evaluation, SVM training).  For every
 // module function that takes a context.Context, each call edge from which a
 // blocking function is reachable must carry the caller's ctx: otherwise
 // cancellation stops at that frame and the blocking region runs to

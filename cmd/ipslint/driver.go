@@ -110,7 +110,7 @@ func lintDirs(l *loader, dirs []string, enabled []*Analyzer) ([]Finding, error) 
 	}
 
 	// Module-level analysis over the merged call graph.
-	mod := buildModule(l.fset, flat)
+	mod := buildModule(l.fset, l.modPath, flat)
 	findings = append(findings, runModuleAnalyzers(mod, enabled)...)
 
 	// Suppression directives apply globally, so one directive set covers

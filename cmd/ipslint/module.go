@@ -15,7 +15,10 @@ import (
 // invisible (they are, by project policy, not hot-path or ctx-blocking
 // concerns — time.Now has its own analyzer).
 type Module struct {
-	Fset  *token.FileSet
+	Fset *token.FileSet
+	// Path is the module path; a package belongs to the module when its
+	// import path is Path or lies under it.
+	Path  string
 	Funcs map[string]*FuncInfo
 	// Order lists the keys of Funcs in declaration order (unit, file,
 	// position), so analyzers that iterate the graph stay deterministic.
@@ -144,8 +147,8 @@ func declaresCtxParam(info *types.Info, decl *ast.FuncDecl) bool {
 // buildModule assembles the call graph from the lint units.  External-test
 // units are excluded: test scaffolding is neither a hot path nor a ctxflow
 // entry point.
-func buildModule(fset *token.FileSet, units []*unit) *Module {
-	mod := &Module{Fset: fset, Funcs: map[string]*FuncInfo{}}
+func buildModule(fset *token.FileSet, modPath string, units []*unit) *Module {
+	mod := &Module{Fset: fset, Path: modPath, Funcs: map[string]*FuncInfo{}}
 	for _, u := range units {
 		if u.xtest {
 			continue

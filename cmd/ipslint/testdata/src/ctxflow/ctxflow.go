@@ -4,7 +4,7 @@ package ctxflow
 
 import "context"
 
-// heavySolve stands in for the long-running kernels (mp.SelfJoin,
+// heavySolve stands in for the long-running kernels (mp.SelfJoinCtx,
 // dist.Batch, SVM training).
 //
 //ips:blocking

@@ -21,6 +21,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -56,7 +57,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	p := mp.SelfJoinOpts(series, *w, nil, mp.Options{Workers: *workers})
+	p, err := mp.SelfJoinCtx(context.Background(), series, *w, nil, mp.Options{Workers: *workers})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mpview:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("series length %d, window %d, %d subsequences\n\n", len(series), *w, p.Len())
 
 	fmt.Println("top motifs (position, neighbour, distance):")

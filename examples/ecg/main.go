@@ -36,7 +36,7 @@ func main() {
 		classify.NNConfig{Metric: classify.Euclidean})
 
 	// BASE (the MP baseline the paper analyses in §II-B).
-	baseAcc, err := baselines.BaseEvaluate(train, test,
+	baseAcc, err := baselines.BaseEvaluateCtx(ctx, train, test,
 		baselines.BaseConfig{K: 5}, classify.SVMConfig{Seed: 5})
 	if err != nil {
 		log.Fatal(err)

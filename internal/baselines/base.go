@@ -27,7 +27,7 @@ type BaseConfig struct {
 	MinLength    int
 	// Workers parallelises the STOMP self- and AB-joins over diagonal
 	// tiles (<=1 means sequential).  The discovered shapelets are
-	// identical for any worker count; see mp.SelfJoinOpts.
+	// identical for any worker count; see mp.SelfJoinCtx.
 	Workers int
 }
 
@@ -42,12 +42,6 @@ func (c BaseConfig) defaults() BaseConfig {
 		c.MinLength = 4
 	}
 	return c
-}
-
-// BaseDiscover implements the MP baseline (Formula 4) with a background
-// context; see BaseDiscoverCtx.
-func BaseDiscover(train *ts.Dataset, cfg BaseConfig) ([]classify.Shapelet, error) {
-	return BaseDiscoverCtx(context.Background(), train, cfg)
 }
 
 // BaseDiscoverCtx implements the MP baseline (Formula 4): per class C it
@@ -134,12 +128,6 @@ func BaseDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg BaseConfig) ([]
 	return out, nil
 }
 
-// TrainShapeletClassifier builds the common classifier with a background
-// context; see TrainShapeletClassifierCtx.
-func TrainShapeletClassifier(train *ts.Dataset, shapelets []classify.Shapelet, svmCfg classify.SVMConfig) (*ShapeletModel, error) {
-	return TrainShapeletClassifierCtx(context.Background(), train, shapelets, svmCfg)
-}
-
 // TrainShapeletClassifierCtx builds the shapelet-transform + linear-SVM
 // classifier used by every shapelet method in this repository, so accuracy
 // comparisons isolate the discovery step.  Cancellation reaches both the
@@ -148,7 +136,7 @@ func TrainShapeletClassifierCtx(ctx context.Context, train *ts.Dataset, shapelet
 	if len(shapelets) == 0 {
 		return nil, errors.New("baselines: no shapelets")
 	}
-	X, err := classify.TransformCtx(ctx, train, shapelets, 1, nil, nil)
+	X, err := classify.TransformWith(ctx, train, shapelets, classify.TransformConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -170,36 +158,14 @@ type ShapeletModel struct {
 	SVM       *classify.SVM
 }
 
-// Predict classifies every instance with a background context; see
-// PredictCtx.
-func (m *ShapeletModel) Predict(d *ts.Dataset) []int {
-	pred, err := m.PredictCtx(context.Background(), d)
-	if err != nil {
-		// Unreachable: a background context never cancels and the transform
-		// has no other failure mode.
-		return nil
-	}
-	return pred
-}
-
 // PredictCtx classifies every instance.  A cancelled context aborts the
 // shapelet transform and returns an error matching errs.ErrCanceled.
 func (m *ShapeletModel) PredictCtx(ctx context.Context, d *ts.Dataset) ([]int, error) {
-	X, err := classify.TransformCtx(ctx, d, m.Shapelets, 1, nil, nil)
+	X, err := classify.TransformWith(ctx, d, m.Shapelets, classify.TransformConfig{})
 	if err != nil {
 		return nil, err
 	}
 	return m.SVM.PredictAll(m.Scaler.Apply(X)), nil
-}
-
-// Accuracy returns the model's accuracy (%) on the dataset with a
-// background context; see AccuracyCtx.
-func (m *ShapeletModel) Accuracy(d *ts.Dataset) float64 {
-	acc, err := m.AccuracyCtx(context.Background(), d)
-	if err != nil {
-		return 0 // unreachable: a background context never cancels
-	}
-	return acc
 }
 
 // AccuracyCtx returns the model's accuracy (%) on the dataset.
@@ -211,13 +177,9 @@ func (m *ShapeletModel) AccuracyCtx(ctx context.Context, d *ts.Dataset) (float64
 	return classify.Accuracy(pred, d.Labels()), nil
 }
 
-// BaseEvaluate runs the full BASE pipeline and returns its test accuracy.
-func BaseEvaluate(train, test *ts.Dataset, cfg BaseConfig, svmCfg classify.SVMConfig) (float64, error) {
-	return BaseEvaluateCtx(context.Background(), train, test, cfg, svmCfg)
-}
-
-// BaseEvaluateCtx is BaseEvaluate with cooperative cancellation; see
-// BaseDiscoverCtx for the granularity.
+// BaseEvaluateCtx runs the full BASE pipeline and returns its test
+// accuracy, with cooperative cancellation; see BaseDiscoverCtx for the
+// granularity.
 func BaseEvaluateCtx(ctx context.Context, train, test *ts.Dataset, cfg BaseConfig, svmCfg classify.SVMConfig) (float64, error) {
 	sh, err := BaseDiscoverCtx(ctx, train, cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -94,7 +95,7 @@ func TestSAXWord(t *testing.T) {
 
 func TestBaseDiscoverShapeAndClasses(t *testing.T) {
 	d := plantedDataset(8, 80, 2, 1)
-	sh, err := BaseDiscover(d, BaseConfig{K: 3, LengthRatios: []float64{0.2, 0.3}})
+	sh, err := BaseDiscoverCtx(context.Background(), d, BaseConfig{K: 3, LengthRatios: []float64{0.2, 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestBaseDiscoverShapeAndClasses(t *testing.T) {
 		t.Fatalf("per-class counts = %v", perClass)
 	}
 	// Scores are sorted descending per class (largest diff first).
-	if _, err := BaseDiscover(&ts.Dataset{}, BaseConfig{}); err == nil {
+	if _, err := BaseDiscoverCtx(context.Background(), &ts.Dataset{}, BaseConfig{}); err == nil {
 		t.Fatal("empty dataset should error")
 	}
 }
@@ -120,7 +121,7 @@ func TestBaseDiscoverShapeAndClasses(t *testing.T) {
 func TestBaseEvaluateBeatsChance(t *testing.T) {
 	train := plantedDataset(10, 80, 2, 2)
 	test := plantedDataset(10, 80, 2, 3)
-	acc, err := BaseEvaluate(train, test, BaseConfig{K: 5}, classify.SVMConfig{Seed: 4})
+	acc, err := BaseEvaluateCtx(context.Background(), train, test, BaseConfig{K: 5}, classify.SVMConfig{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestBinaryEntropy(t *testing.T) {
 
 func TestBSPCoverDiscover(t *testing.T) {
 	d := plantedDataset(8, 60, 2, 5)
-	sh, err := BSPCoverDiscover(d, BSPConfig{K: 3, LengthRatios: []float64{0.25}})
+	sh, err := BSPCoverDiscoverCtx(context.Background(), d, BSPConfig{K: 3, LengthRatios: []float64{0.25}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestBSPCoverDiscover(t *testing.T) {
 			t.Fatalf("class %d has %d shapelets", c, perClass[c])
 		}
 	}
-	if _, err := BSPCoverDiscover(&ts.Dataset{}, BSPConfig{}); err == nil {
+	if _, err := BSPCoverDiscoverCtx(context.Background(), &ts.Dataset{}, BSPConfig{}); err == nil {
 		t.Fatal("empty dataset should error")
 	}
 }
@@ -179,7 +180,7 @@ func TestBSPCoverDiscover(t *testing.T) {
 func TestBSPCoverEvaluateAccuracy(t *testing.T) {
 	train := plantedDataset(10, 60, 2, 6)
 	test := plantedDataset(10, 60, 2, 7)
-	acc, err := BSPCoverEvaluate(train, test, BSPConfig{K: 5, LengthRatios: []float64{0.2, 0.3}}, classify.SVMConfig{Seed: 8})
+	acc, err := BSPCoverEvaluateCtx(context.Background(), train, test, BSPConfig{K: 5, LengthRatios: []float64{0.2, 0.3}}, classify.SVMConfig{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestBSPCoverSlowerThanItLooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	train, test := ucr.Generate(m, ucr.GenConfig{MaxTest: 60, Seed: 9})
-	acc, err := BSPCoverEvaluate(train, test, BSPConfig{K: 5}, classify.SVMConfig{Seed: 10})
+	acc, err := BSPCoverEvaluateCtx(context.Background(), train, test, BSPConfig{K: 5}, classify.SVMConfig{Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,8 @@ type bspCandidate struct {
 	covers []int // indices of same-class training instances within the split
 }
 
-// BSPCoverDiscover re-implements the published BSPCOVER pipeline in spirit:
+// BSPCoverDiscoverCtx re-implements the published BSPCOVER pipeline in
+// spirit:
 //
 //  1. candidate generation: every training instance is slid at each
 //     configured length with a fractional stride;
@@ -61,13 +62,10 @@ type bspCandidate struct {
 //     IPS avoids;
 //  4. p-cover selection: per class, candidates are greedily chosen to cover
 //     the most not-yet-covered same-class instances, ties broken by gain.
-func BSPCoverDiscover(train *ts.Dataset, cfg BSPConfig) ([]classify.Shapelet, error) {
-	return BSPCoverDiscoverCtx(context.Background(), train, cfg)
-}
-
-// BSPCoverDiscoverCtx is BSPCoverDiscover with cooperative cancellation:
-// the dominant full-scan quality stage checks ctx per instance pass inside
-// the batched distance engine.
+//
+// The dominant full-scan quality stage checks ctx per instance pass inside
+// the batched distance engine; a cancelled run returns an error matching
+// errs.ErrCanceled.
 func BSPCoverDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg BSPConfig) ([]classify.Shapelet, error) {
 	cfg = cfg.defaults()
 	if err := train.Validate(true); err != nil {
@@ -221,12 +219,6 @@ func binaryEntropy(p float64) float64 {
 		return 0
 	}
 	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
-}
-
-// BSPCoverEvaluate runs the full BSPCOVER pipeline with a background
-// context and returns its test accuracy; see BSPCoverEvaluateCtx.
-func BSPCoverEvaluate(train, test *ts.Dataset, cfg BSPConfig, svmCfg classify.SVMConfig) (float64, error) {
-	return BSPCoverEvaluateCtx(context.Background(), train, test, cfg, svmCfg)
 }
 
 // BSPCoverEvaluateCtx runs the full BSPCOVER pipeline — discovery,

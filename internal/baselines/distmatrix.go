@@ -34,9 +34,10 @@ func distMatrix(ctx context.Context, train *ts.Dataset, idx []int, queries [][]f
 	batch := dist.NewBatch(queries)
 	col := make([]float64, len(queries))
 	var counts dist.Counts
+	var scratch dist.Scratch
 	for pos, i := range idx {
 		p := cache.Prepared(train.Instances[i].Values, &counts)
-		if err := batch.EvalIntoCtx(ctx, p, col, &counts); err != nil {
+		if err := batch.EvalScratchCtx(ctx, p, col, &counts, &scratch); err != nil {
 			return nil, err
 		}
 		for qi := range queries {

@@ -69,15 +69,9 @@ type fsWord struct {
 	gap    float64
 }
 
-// FastShapeletsDiscover runs the SAX random-masking pipeline and returns
-// top-k shapelets per class.
-func FastShapeletsDiscover(train *ts.Dataset, cfg FSConfig) ([]classify.Shapelet, error) {
-	return FastShapeletsDiscoverCtx(context.Background(), train, cfg)
-}
-
-// FastShapeletsDiscoverCtx is FastShapeletsDiscover with cooperative
-// cancellation: the per-ratio refinement stage checks ctx per instance pass
-// inside the batched distance engine.
+// FastShapeletsDiscoverCtx runs the SAX random-masking pipeline and returns
+// top-k shapelets per class.  The per-ratio refinement stage checks ctx per
+// instance pass inside the batched distance engine.
 func FastShapeletsDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg FSConfig) ([]classify.Shapelet, error) {
 	cfg = cfg.defaults()
 	if err := train.Validate(true); err != nil {
@@ -213,13 +207,6 @@ func maskWord(word string, mask []int) string {
 		}
 	}
 	return string(b)
-}
-
-// FastShapeletsEvaluate runs the full Fast Shapelets pipeline with the
-// common shapelet-transform classifier and a background context; see
-// FastShapeletsEvaluateCtx.
-func FastShapeletsEvaluate(train, test *ts.Dataset, cfg FSConfig, svmCfg classify.SVMConfig) (float64, error) {
-	return FastShapeletsEvaluateCtx(context.Background(), train, test, cfg, svmCfg)
 }
 
 // FastShapeletsEvaluateCtx runs the full Fast Shapelets pipeline —

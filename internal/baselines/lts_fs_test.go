@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestMaskWord(t *testing.T) {
 
 func TestFastShapeletsDiscover(t *testing.T) {
 	train := plantedDataset(10, 60, 2, 25)
-	sh, err := FastShapeletsDiscover(train, FSConfig{K: 3, Seed: 26})
+	sh, err := FastShapeletsDiscoverCtx(context.Background(), train, FSConfig{K: 3, Seed: 26})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestFastShapeletsDiscover(t *testing.T) {
 			t.Fatalf("class %d has %d shapelets", c, perClass[c])
 		}
 	}
-	if _, err := FastShapeletsDiscover(&ts.Dataset{}, FSConfig{}); err == nil {
+	if _, err := FastShapeletsDiscoverCtx(context.Background(), &ts.Dataset{}, FSConfig{}); err == nil {
 		t.Fatal("empty dataset should error")
 	}
 }
@@ -130,7 +131,7 @@ func TestFastShapeletsDiscover(t *testing.T) {
 func TestFastShapeletsEvaluate(t *testing.T) {
 	train := plantedDataset(10, 60, 2, 27)
 	test := plantedDataset(10, 60, 2, 28)
-	acc, err := FastShapeletsEvaluate(train, test, FSConfig{K: 5, Seed: 29}, classify.SVMConfig{Seed: 30})
+	acc, err := FastShapeletsEvaluateCtx(context.Background(), train, test, FSConfig{K: 5, Seed: 29}, classify.SVMConfig{Seed: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,12 +62,6 @@ type SDTree struct {
 	root *sdNode
 }
 
-// SDTreeTrain builds the shapelet decision tree on the training set with a
-// background context; see SDTreeTrainCtx.
-func SDTreeTrain(train *ts.Dataset, cfg SDTreeConfig) (*SDTree, error) {
-	return SDTreeTrainCtx(context.Background(), train, cfg)
-}
-
 // SDTreeTrainCtx builds the shapelet decision tree on the training set.
 // Cancellation is checked per node inside the batched distance engine; a
 // cancelled run returns a nil tree with an error matching errs.ErrCanceled.
@@ -244,12 +238,6 @@ func (t *SDTree) Shapelets() []ts.Series {
 		queue = append(queue, node.left, node.right)
 	}
 	return out
-}
-
-// SDTreeEvaluate trains the shapelet decision tree with a background
-// context and returns its test accuracy; see SDTreeEvaluateCtx.
-func SDTreeEvaluate(train, test *ts.Dataset, cfg SDTreeConfig) (float64, error) {
-	return SDTreeEvaluateCtx(context.Background(), train, test, cfg)
 }
 
 // SDTreeEvaluateCtx trains the shapelet decision tree and returns its test

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 
 	"ips/internal/ts"
@@ -9,7 +10,7 @@ import (
 func TestSDTreeLearnsPlantedPatterns(t *testing.T) {
 	train := plantedDataset(12, 60, 2, 50)
 	test := plantedDataset(12, 60, 2, 51)
-	acc, err := SDTreeEvaluate(train, test, SDTreeConfig{Seed: 52})
+	acc, err := SDTreeEvaluateCtx(context.Background(), train, test, SDTreeConfig{Seed: 52})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +22,7 @@ func TestSDTreeLearnsPlantedPatterns(t *testing.T) {
 func TestSDTreeMultiClass(t *testing.T) {
 	train := plantedDataset(10, 50, 3, 53)
 	test := plantedDataset(10, 50, 3, 54)
-	acc, err := SDTreeEvaluate(train, test, SDTreeConfig{Seed: 55})
+	acc, err := SDTreeEvaluateCtx(context.Background(), train, test, SDTreeConfig{Seed: 55})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestSDTreeMultiClass(t *testing.T) {
 
 func TestSDTreeShapeletsAccessor(t *testing.T) {
 	train := plantedDataset(10, 50, 2, 56)
-	tree, err := SDTreeTrain(train, SDTreeConfig{Seed: 57})
+	tree, err := SDTreeTrainCtx(context.Background(), train, SDTreeConfig{Seed: 57})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestSDTreeShapeletsAccessor(t *testing.T) {
 
 func TestSDTreeDepthLimit(t *testing.T) {
 	train := plantedDataset(12, 50, 2, 58)
-	tree, err := SDTreeTrain(train, SDTreeConfig{MaxDepth: 1, Seed: 59})
+	tree, err := SDTreeTrainCtx(context.Background(), train, SDTreeConfig{MaxDepth: 1, Seed: 59})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestSDTreeDepthLimit(t *testing.T) {
 }
 
 func TestSDTreeErrors(t *testing.T) {
-	if _, err := SDTreeTrain(&ts.Dataset{}, SDTreeConfig{}); err == nil {
+	if _, err := SDTreeTrainCtx(context.Background(), &ts.Dataset{}, SDTreeConfig{}); err == nil {
 		t.Fatal("empty dataset should error")
 	}
 }
@@ -76,7 +77,7 @@ func TestSDTreePureData(t *testing.T) {
 		}
 		d.Instances = append(d.Instances, ts.Instance{Values: vals, Label: i % 2})
 	}
-	tree, err := SDTreeTrain(d, SDTreeConfig{Seed: 60})
+	tree, err := SDTreeTrainCtx(context.Background(), d, SDTreeConfig{Seed: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

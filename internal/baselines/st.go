@@ -88,16 +88,11 @@ func FStatQuality(dists []float64, labels []int) float64 {
 	return msBetween / msWithin
 }
 
-// STDiscover enumerates (subsampled) candidates, scores each by the
+// STDiscoverCtx enumerates (subsampled) candidates, scores each by the
 // F-statistic of its distance distribution, and returns the top-k per class
 // (a candidate is attributed to the class whose mean distance to it is
-// smallest).
-func STDiscover(train *ts.Dataset, cfg STConfig) ([]classify.Shapelet, error) {
-	return STDiscoverCtx(context.Background(), train, cfg)
-}
-
-// STDiscoverCtx is STDiscover with cooperative cancellation: the scoring
-// stage checks ctx per instance pass inside the batched distance engine.
+// smallest).  The scoring stage checks ctx per instance pass inside the
+// batched distance engine.
 func STDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg STConfig) ([]classify.Shapelet, error) {
 	cfg = cfg.defaults()
 	if err := train.Validate(true); err != nil {
@@ -203,12 +198,6 @@ func STDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg STConfig) ([]clas
 		return nil, errSTNoCandidates
 	}
 	return out, nil
-}
-
-// STEvaluate runs the full ST pipeline with the common shapelet-transform
-// classifier and a background context; see STEvaluateCtx.
-func STEvaluate(train, test *ts.Dataset, cfg STConfig, svmCfg classify.SVMConfig) (float64, error) {
-	return STEvaluateCtx(context.Background(), train, test, cfg, svmCfg)
 }
 
 // STEvaluateCtx runs the full ST pipeline — discovery, classifier training,

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 
 	"ips/internal/classify"
@@ -35,7 +36,7 @@ func TestFStatQuality(t *testing.T) {
 func TestSTDiscoverAndEvaluate(t *testing.T) {
 	train := plantedDataset(10, 60, 2, 61)
 	test := plantedDataset(10, 60, 2, 62)
-	sh, err := STDiscover(train, STConfig{K: 3, Seed: 63})
+	sh, err := STDiscoverCtx(context.Background(), train, STConfig{K: 3, Seed: 63})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestSTDiscoverAndEvaluate(t *testing.T) {
 	if perClass[0] == 0 || perClass[1] == 0 {
 		t.Fatalf("per-class counts = %v", perClass)
 	}
-	acc, err := STEvaluate(train, test, STConfig{K: 5, Seed: 64}, classify.SVMConfig{Seed: 65})
+	acc, err := STEvaluateCtx(context.Background(), train, test, STConfig{K: 5, Seed: 64}, classify.SVMConfig{Seed: 65})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestSTDiscoverAndEvaluate(t *testing.T) {
 }
 
 func TestSTErrors(t *testing.T) {
-	if _, err := STDiscover(&ts.Dataset{}, STConfig{}); err == nil {
+	if _, err := STDiscoverCtx(context.Background(), &ts.Dataset{}, STConfig{}); err == nil {
 		t.Fatal("empty dataset should error")
 	}
 }
@@ -67,7 +68,7 @@ func TestSTErrors(t *testing.T) {
 func TestSTCandidateSubsampling(t *testing.T) {
 	// A tight MaxCandidates must still produce shapelets.
 	train := plantedDataset(10, 60, 2, 66)
-	sh, err := STDiscover(train, STConfig{K: 2, MaxCandidates: 20, Seed: 67})
+	sh, err := STDiscoverCtx(context.Background(), train, STConfig{K: 2, MaxCandidates: 20, Seed: 67})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,8 @@ func (h *Harness) evaluateWithoutDiscords(ctx context.Context, train, test *ts.D
 	if len(shapelets) == 0 {
 		return 0, fmt.Errorf("bench: no shapelets without discords")
 	}
-	X, err := classify.TransformCtx(ctx, train, shapelets, 0, nil, nil)
+	tcfg := classify.TransformConfig{Precision: opt.Precision}
+	X, err := classify.TransformWith(ctx, train, shapelets, tcfg)
 	if err != nil {
 		return 0, err
 	}
@@ -152,7 +153,7 @@ func (h *Harness) evaluateWithoutDiscords(ctx context.Context, train, test *ts.D
 	if err != nil {
 		return 0, err
 	}
-	Xt, err := classify.TransformCtx(ctx, test, shapelets, 0, nil, nil)
+	Xt, err := classify.TransformWith(ctx, test, shapelets, tcfg)
 	if err != nil {
 		return 0, err
 	}

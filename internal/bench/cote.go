@@ -53,33 +53,27 @@ func (h *Harness) COTE(ctx context.Context, datasets []string) ([]COTERow, error
 		if err != nil {
 			return nil, err
 		}
-		addMember("IPS", func(d *ts.Dataset) []int {
-			pred, err := ipsModel.Predict(ctx, d)
-			if err != nil {
-				return nil // nil votes are ignored by the ensemble
-			}
-			return pred
-		})
+		addMember("IPS", onCtx(ctx, ipsModel.Predict))
 
 		// Shapelet-transform methods sharing the common classifier.
 		if sh, err := baselines.BaseDiscoverCtx(ctx, train, baselines.BaseConfig{K: h.k(), Workers: h.Workers}); err == nil {
 			if m, err := baselines.TrainShapeletClassifierCtx(ctx, train, sh, classify.SVMConfig{Seed: h.Seed}); err == nil {
-				addMember("BASE", m.Predict)
+				addMember("BASE", onCtx(ctx, m.PredictCtx))
 			}
 		}
 		if sh, err := baselines.BSPCoverDiscoverCtx(ctx, train, baselines.BSPConfig{K: h.k()}); err == nil {
 			if m, err := baselines.TrainShapeletClassifierCtx(ctx, train, sh, classify.SVMConfig{Seed: h.Seed}); err == nil {
-				addMember("BSPCOVER", m.Predict)
+				addMember("BSPCOVER", onCtx(ctx, m.PredictCtx))
 			}
 		}
 		if sh, err := baselines.STDiscoverCtx(ctx, train, baselines.STConfig{Seed: h.Seed}); err == nil {
 			if m, err := baselines.TrainShapeletClassifierCtx(ctx, train, sh, classify.SVMConfig{Seed: h.Seed}); err == nil {
-				addMember("ST", m.Predict)
+				addMember("ST", onCtx(ctx, m.PredictCtx))
 			}
 		}
 		if sh, err := baselines.FastShapeletsDiscoverCtx(ctx, train, baselines.FSConfig{Seed: h.Seed}); err == nil {
 			if m, err := baselines.TrainShapeletClassifierCtx(ctx, train, sh, classify.SVMConfig{Seed: h.Seed}); err == nil {
-				addMember("FS", m.Predict)
+				addMember("FS", onCtx(ctx, m.PredictCtx))
 			}
 		}
 
@@ -125,4 +119,17 @@ func (h *Harness) COTE(ctx context.Context, datasets []string) ([]COTERow, error
 	fmt.Fprintln(h.out(), "COTE-style full ensemble (training-accuracy-weighted vote of 11 measured classifiers)")
 	table(h.out(), header, cells)
 	return rows, nil
+}
+
+// onCtx adapts a ctx-first predictor to the ensemble's vote signature, so
+// members predict on the harness ctx.  A failed prediction returns nil,
+// which casts no votes and scores zero accuracy.
+func onCtx(ctx context.Context, predict func(context.Context, *ts.Dataset) ([]int, error)) func(*ts.Dataset) []int {
+	return func(d *ts.Dataset) []int {
+		pred, err := predict(ctx, d)
+		if err != nil {
+			return nil
+		}
+		return pred
+	}
 }

@@ -180,15 +180,18 @@ func (h *Harness) Fig10bc(ctx context.Context, datasets []string) ([]Fig10bcRow,
 // (0 when any stage fails or the context is cancelled — the caller's own
 // Evaluate already surfaced the error).
 func (h *Harness) selectionTime(ctx context.Context, train *ts.Dataset, opt core.Options) time.Duration {
-	pool, err := ip.Generate(ctx, train, opt.IP)
+	pool, err := ip.GenerateSpan(ctx, train, opt.IP, nil)
 	if err != nil {
 		return 0
 	}
-	d, err := dabf.Build(pool, opt.DABF)
+	d, err := dabf.BuildSpan(ctx, pool, opt.DABF, nil)
 	if err != nil {
 		return 0
 	}
-	pruned, _ := dabf.Prune(pool, d)
+	pruned, _, err := dabf.PruneSpan(ctx, pool, d, nil)
+	if err != nil {
+		return 0
+	}
 	sp := h.Obs.Root().Child("fig10bc.selection." + train.Name)
 	sp.SetString("dt_cr", fmt.Sprint(!opt.DisableDT))
 	sw := obs.NewStopwatch()

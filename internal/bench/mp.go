@@ -46,7 +46,7 @@ func (h *Harness) mpBenchSizes() [][2]int {
 // MPBench measures the STOMP self-join kernel on synthetic random walks at
 // Workers ∈ {1, 2, 4, 8}, prints the table, and returns the report.
 // Unlike the paper-reproduction experiments in this package, it benchmarks
-// the substrate itself — SelfJoin wall time across series lengths, windows,
+// the substrate itself — SelfJoinCtx wall time across series lengths, windows,
 // and worker counts — so successive PRs have a comparable perf trajectory
 // (snapshot it with WriteJSON as BENCH_mp.json).  Each cell is the best of
 // three runs: the minimum is the least noisy estimator of the true cost.

@@ -14,14 +14,14 @@ import (
 
 // StreamBenchResult is one series-length measurement of the streaming
 // append path: the steady-state per-append cost of the incremental profile
-// against the full SelfJoin recompute an append used to pay.
+// against the full SelfJoinCtx recompute an append used to pay.
 type StreamBenchResult struct {
 	N int `json:"n"`
 	W int `json:"w"`
 	// AppendMicros is the mean per-append wall time (µs) of
 	// mp.Incremental.Append at this series length.
 	AppendMicros float64 `json:"append_micros"`
-	// RecomputeMicros is the wall time (µs) of one full SelfJoin over the
+	// RecomputeMicros is the wall time (µs) of one full SelfJoinCtx over the
 	// same series — the per-append cost before this optimisation.
 	RecomputeMicros float64 `json:"recompute_micros"`
 	// Speedup is RecomputeMicros / AppendMicros.

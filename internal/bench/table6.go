@@ -109,15 +109,8 @@ func (h *Harness) Table6(ctx context.Context, datasets []string) ([]Table6Row, e
 func (h *Harness) ensembleAccuracy(ctx context.Context, train, test *ts.Dataset, model *core.Model) float64 {
 	nnED := classify.NewNN(train.Instances, classify.NNConfig{Metric: classify.Euclidean})
 	nnDTW := classify.NewNN(train.Instances, classify.NNConfig{Metric: classify.DTWWindowed})
-	ipsPredict := func(d *ts.Dataset) []int {
-		pred, err := model.Predict(ctx, d)
-		if err != nil {
-			return nil // Build rejects the short vote vector below.
-		}
-		return pred
-	}
 	e, err := baselines.NewEnsembleBuilder(train).
-		AddWeighted("ips", ipsPredict).
+		AddWeighted("ips", onCtx(ctx, model.Predict)).
 		AddWeighted("1nn-ed", func(d *ts.Dataset) []int { return nnED.PredictAll(d.Instances) }).
 		AddWeighted("1nn-dtw", func(d *ts.Dataset) []int { return nnDTW.PredictAll(d.Instances) }).
 		Build()

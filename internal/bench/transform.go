@@ -77,10 +77,11 @@ func (h *Harness) transformBenchCells() []struct {
 // TransformBench measures the shapelet transform — the embedding hot path
 // every classifier in the repo funnels through — as a (dataset × shapelet
 // length) grid, comparing the per-pair ts.Dist loop the transform used
-// before the batched engine against classify.Transform on the engine.  Both
-// sides run single-threaded and each cell is the best of three runs; the
-// engine's output is verified byte-identical to the naive loop before
-// timing is reported.  Snapshot with WriteJSON as BENCH_transform.json.
+// before the batched engine against classify.TransformWith at h.Precision.
+// Both sides run single-threaded and each cell is the best of three runs;
+// the engine's output is verified against the naive loop (byte-identical at
+// float64, within tolerance at float32) before timing is reported.
+// Snapshot with WriteJSON as BENCH_transform.json.
 func (h *Harness) TransformBench(ctx context.Context) (*TransformBenchReport, error) {
 	ctx = benchCtx(ctx)
 	report := &TransformBenchReport{
@@ -132,7 +133,7 @@ func (h *Harness) TransformBench(ctx context.Context) (*TransformBenchReport, er
 					naiveBest = el
 				}
 				sw = obs.NewStopwatch()
-				got, err = classify.TransformCtx(ctx, train, shapelets, 1, nil, nil)
+				got, err = classify.TransformWith(ctx, train, shapelets, classify.TransformConfig{Precision: h.Precision})
 				if err != nil {
 					return nil, err
 				}
@@ -146,7 +147,7 @@ func (h *Harness) TransformBench(ctx context.Context) (*TransformBenchReport, er
 			// relative tolerance instead of exact bits.
 			for j := range want {
 				for si := range want[j] {
-					if classify.DefaultPrecision == dist.PrecisionFloat32 {
+					if h.Precision == dist.PrecisionFloat32 {
 						scale := 1.0
 						if want[j][si] > scale {
 							scale = want[j][si]

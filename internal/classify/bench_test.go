@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -39,7 +40,9 @@ func BenchmarkTransform(b *testing.B) {
 				b.Run("engine/"+label, func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						TransformWorkers(train, sh, 1)
+						if _, err := TransformWith(context.Background(), train, sh, TransformConfig{}); err != nil {
+							b.Fatal(err)
+						}
 					}
 				})
 				b.Run("naive/"+label, func(b *testing.B) {

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,7 +19,7 @@ func TestTransformDimensions(t *testing.T) {
 		{Class: 1, Values: ts.Series{5, 4}},
 		{Class: 0, Values: ts.Series{3}},
 	}
-	X := Transform(d, sh)
+	X := mustTransform(t, d, sh, TransformConfig{})
 	if len(X) != 2 || len(X[0]) != 3 {
 		t.Fatalf("transform shape = %dx%d", len(X), len(X[0]))
 	}
@@ -46,9 +47,9 @@ func TestTransformWorkersEquality(t *testing.T) {
 		{Class: 0, Values: d.Instances[0].Values[5:15].Clone()},
 		{Class: 1, Values: d.Instances[1].Values[20:28].Clone()},
 	}
-	seq := Transform(d, sh)
+	seq := mustTransform(t, d, sh, TransformConfig{})
 	for _, workers := range []int{2, 4, 8} {
-		par := TransformWorkers(d, sh, workers)
+		par := mustTransform(t, d, sh, TransformConfig{Workers: workers})
 		for i := range seq {
 			for j := range seq[i] {
 				if seq[i][j] != par[i][j] {
@@ -117,7 +118,7 @@ func separableData(n int, seed int64) ([][]float64, []int) {
 
 func TestSVMSeparable(t *testing.T) {
 	X, y := separableData(50, 1)
-	m, err := TrainSVM(X, y, SVMConfig{Seed: 2})
+	m, err := TrainSVMCtx(context.Background(), X, y, SVMConfig{Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestSVMThreeClass(t *testing.T) {
 			y = append(y, c)
 		}
 	}
-	m, err := TrainSVM(X, y, SVMConfig{Seed: 4, Epochs: 60})
+	m, err := TrainSVMCtx(context.Background(), X, y, SVMConfig{Seed: 4, Epochs: 60}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,21 +157,21 @@ func TestSVMThreeClass(t *testing.T) {
 }
 
 func TestSVMErrors(t *testing.T) {
-	if _, err := TrainSVM(nil, nil, SVMConfig{}); err == nil {
+	if _, err := TrainSVMCtx(context.Background(), nil, nil, SVMConfig{}, nil); err == nil {
 		t.Fatal("empty training should error")
 	}
-	if _, err := TrainSVM([][]float64{{1}}, []int{0}, SVMConfig{}); err == nil {
+	if _, err := TrainSVMCtx(context.Background(), [][]float64{{1}}, []int{0}, SVMConfig{}, nil); err == nil {
 		t.Fatal("single class should error")
 	}
-	if _, err := TrainSVM([][]float64{{1}}, []int{0, 1}, SVMConfig{}); err == nil {
+	if _, err := TrainSVMCtx(context.Background(), [][]float64{{1}}, []int{0, 1}, SVMConfig{}, nil); err == nil {
 		t.Fatal("shape mismatch should error")
 	}
 }
 
 func TestSVMDeterministic(t *testing.T) {
 	X, y := separableData(30, 5)
-	m1, _ := TrainSVM(X, y, SVMConfig{Seed: 6})
-	m2, _ := TrainSVM(X, y, SVMConfig{Seed: 6})
+	m1, _ := TrainSVMCtx(context.Background(), X, y, SVMConfig{Seed: 6}, nil)
+	m2, _ := TrainSVMCtx(context.Background(), X, y, SVMConfig{Seed: 6}, nil)
 	for ci := range m1.W {
 		if m1.B[ci] != m2.B[ci] {
 			t.Fatal("same seed should give identical models")

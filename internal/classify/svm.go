@@ -11,7 +11,7 @@ import (
 	"ips/internal/obs"
 )
 
-// SVMConfig parameterises TrainSVM.
+// SVMConfig parameterises TrainSVMCtx.
 type SVMConfig struct {
 	// Lambda is the L2 regularisation strength; the solver uses the
 	// per-example budget C = 1/(Lambda·n).  When zero it defaults to 1/n,
@@ -44,27 +44,13 @@ type SVM struct {
 	B []float64
 }
 
-// TrainSVM fits one binary hinge-loss SVM per class on features X with
-// labels y.
-//
-//ips:blocking
-func TrainSVM(X [][]float64, y []int, cfg SVMConfig) (*SVM, error) {
-	return TrainSVMSpan(X, y, cfg, nil)
-}
-
-// TrainSVMSpan is TrainSVMCtx without cancellation (a background context).
-//
-//ips:blocking
-func TrainSVMSpan(X [][]float64, y []int, cfg SVMConfig, sp *obs.Span) (*SVM, error) {
-	return TrainSVMCtx(context.Background(), X, y, cfg, sp)
-}
-
-// TrainSVMCtx is TrainSVM with observability and cooperative cancellation:
-// a sub-span per one-vs-rest problem annotated with the coordinate-descent
-// passes it took to converge, and a classify.svm.passes counter totalling
-// them.  A nil span disables all of it; the trained weights are identical
-// either way.  Cancellation is checked per coordinate-descent pass; a
-// cancelled run returns a nil model and an error matching errs.ErrCanceled.
+// TrainSVMCtx fits one binary hinge-loss SVM per class on features X with
+// labels y.  sp receives a sub-span per one-vs-rest problem annotated with
+// the coordinate-descent passes it took to converge, and a
+// classify.svm.passes counter totalling them.  A nil span disables all of
+// it; the trained weights are identical either way.  Cancellation is checked
+// per coordinate-descent pass; a cancelled run returns a nil model and an
+// error matching errs.ErrCanceled.
 //
 //ips:blocking
 func TrainSVMCtx(ctx context.Context, X [][]float64, y []int, cfg SVMConfig, sp *obs.Span) (*SVM, error) {

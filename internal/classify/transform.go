@@ -25,60 +25,14 @@ type Shapelet struct {
 	Score float64
 }
 
-// Transform maps every instance to its shapelet-transform embedding
-// (d_{j,1}, …, d_{j,|S|}) where d_{j,i} = dist(T_j, S_i) under Def. 4.
-func Transform(d *ts.Dataset, shapelets []Shapelet) [][]float64 {
-	return TransformWorkers(d, shapelets, 1)
-}
-
-// TransformWorkers is Transform with the per-instance embedding computed by
-// the given number of goroutines (<=1 means sequential).  The output is
-// identical for any worker count.
-func TransformWorkers(d *ts.Dataset, shapelets []Shapelet, workers int) [][]float64 {
-	return TransformSpan(d, shapelets, workers, nil)
-}
-
-// TransformSpan is TransformWorkers with observability: span attributes for
-// the embedding shape and kernel mix, a classify.transform.dists counter of
-// sliding Def. 4 distance evaluations, and the dist.* engine counters.
-func TransformSpan(d *ts.Dataset, shapelets []Shapelet, workers int, sp *obs.Span) [][]float64 {
-	return TransformCached(d, shapelets, workers, sp, nil)
-}
-
-// TransformCached is TransformCtx without cancellation (a background
-// context); see TransformCtx for the cache semantics.
-func TransformCached(d *ts.Dataset, shapelets []Shapelet, workers int, sp *obs.Span, cache *dist.Cache) [][]float64 {
-	X, err := TransformCtx(context.Background(), d, shapelets, workers, sp, cache)
-	if err != nil {
-		// Unreachable: a background context never cancels and the embedding
-		// has no other failure mode.
-		return nil
-	}
-	return X
-}
-
-// TransformCtx is the shapelet transform with cooperative cancellation and
-// an optional prepared-series cache; it delegates to TransformWith with the
-// package-level DefaultKernel and DefaultPrecision knobs.
-func TransformCtx(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, workers int, sp *obs.Span, cache *dist.Cache) ([][]float64, error) {
-	return TransformWith(ctx, d, shapelets, TransformConfig{
-		Workers: workers, Span: sp, Cache: cache,
-		Kernel: DefaultKernel, Precision: DefaultPrecision,
-	})
-}
-
 // TransformConfig parameterises TransformWith.  The zero value is a
-// sequential, uncached, auto-kernel, float64 transform.
+// sequential, auto-kernel, float64 transform.
 type TransformConfig struct {
 	// Workers is the per-instance embedding fan-out (<=1 means sequential).
 	// Output is identical for any value.
 	Workers int
 	// Span receives the embedding-shape and kernel-mix attributes.
 	Span *obs.Span
-	// Cache, when non-nil, memoises prepared per-series statistics across
-	// calls (train/test splits sharing storage, cross-validation folds);
-	// nil prepares per call.
-	Cache *dist.Cache
 	// Kernel forces the distance kernel (dist.KernelAuto selects per query
 	// length).  Kernel choice never changes results.
 	Kernel dist.Kernel
@@ -104,7 +58,7 @@ type TransformConfig struct {
 // embeddings, and TransformWith returns a nil matrix with an error matching
 // errs.ErrCanceled.  No partially-written matrix escapes.
 func TransformWith(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, cfg TransformConfig) ([][]float64, error) {
-	workers, sp, cache := cfg.Workers, cfg.Span, cfg.Cache
+	workers, sp := cfg.Workers, cfg.Span
 	sp.SetInt("instances", int64(len(d.Instances)))
 	sp.SetInt("shapelets", int64(len(shapelets)))
 	sp.SetInt("workers", int64(max(workers, 1)))
@@ -121,7 +75,7 @@ func TransformWith(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, cfg
 	var total dist.Counts
 	embed := func(j int, c *dist.Counts, s *dist.Scratch) error {
 		row := make([]float64, len(shapelets))
-		if err := embedRow(ctx, batch, cache, d.Instances[j].Values, row, c, s); err != nil {
+		if err := embedRow(ctx, batch, d.Instances[j].Values, row, c, s); err != nil {
 			return err // cancellation mid-row: row is partial, drop it
 		}
 		out[j] = row
@@ -184,22 +138,15 @@ func TransformWith(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, cfg
 // allocation-free inside its loops.
 //
 //ips:hotpath
-func embedRow(ctx context.Context, batch *dist.Batch, cache *dist.Cache, series []float64, row []float64, c *dist.Counts, s *dist.Scratch) error {
-	p := cache.Prepared(series, c)
-	return batch.EvalScratchCtx(ctx, p, row, c, s)
+func embedRow(ctx context.Context, batch *dist.Batch, series []float64, row []float64, c *dist.Counts, s *dist.Scratch) error {
+	return batch.EvalScratchCtx(ctx, dist.Prepare(series), row, c, s)
 }
 
-// DefaultKernel forces the distance kernel for every transform (KernelAuto
-// selects per query length).  It exists for the CLIs' -dist-kernel debugging
-// flag and for benchmarks; kernel choice never changes results.  Set it
-// before any transform runs, not concurrently with one.
-var DefaultKernel = dist.KernelAuto
-
-// DefaultPrecision selects the kernel arithmetic width for every transform
-// routed through TransformCtx and its wrappers.  It exists for the CLIs'
-// -precision flag; the float64 default keeps the byte-determinism contract.
-// Set it before any transform runs, not concurrently with one.
-var DefaultPrecision = dist.PrecisionFloat64
+// DefaultKernel is the kernel every pipeline transform runs with: the
+// engine's per-query-length choice.  Kernel choice never changes results;
+// TransformConfig.Kernel forces one for measurement and the byte-identity
+// tests.
+const DefaultKernel = dist.KernelAuto
 
 // Scaler standardises features to zero mean and unit variance, fitted on
 // training data and applied to both splits.

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -25,6 +26,17 @@ func fixtureShapelets(d *ts.Dataset, lengths []int) []Shapelet {
 		out = append(out, Shapelet{Class: in.Label, Values: in.Values[at : at+L].Clone()})
 	}
 	return out
+}
+
+// mustTransform runs TransformWith on a live context and fails the test on
+// error.
+func mustTransform(t *testing.T, d *ts.Dataset, shapelets []Shapelet, cfg TransformConfig) [][]float64 {
+	t.Helper()
+	X, err := TransformWith(context.Background(), d, shapelets, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return X
 }
 
 // naiveTransform is the pre-engine reference: one ts.Dist call per
@@ -78,16 +90,13 @@ func TestTransformByteIdenticalUCR(t *testing.T) {
 		sh := fixtureShapelets(train, tc.lengths)
 		want := naiveTransform(train, sh)
 		for _, workers := range []int{1, 2, 3, 8} {
-			got := TransformWorkers(train, sh, workers)
+			got := mustTransform(t, train, sh, TransformConfig{Workers: workers})
 			requireBitsEqual(t, got, want, fmt.Sprintf("%s workers=%d", tc.dataset, workers))
 		}
-		defer func(k dist.Kernel) { DefaultKernel = k }(DefaultKernel)
 		for _, kernel := range []dist.Kernel{dist.KernelRolling, dist.KernelFFT} {
-			DefaultKernel = kernel
-			got := TransformWorkers(train, sh, 2)
+			got := mustTransform(t, train, sh, TransformConfig{Workers: 2, Kernel: kernel})
 			requireBitsEqual(t, got, want, fmt.Sprintf("%s kernel=%v", tc.dataset, kernel))
 		}
-		DefaultKernel = dist.KernelAuto
 	}
 }
 
@@ -105,12 +114,12 @@ func TestTransformFloat32WorkersDeterministic(t *testing.T) {
 	cfg := func(workers int) TransformConfig {
 		return TransformConfig{Workers: workers, Precision: dist.PrecisionFloat32}
 	}
-	ref, err := TransformWith(t.Context(), train, sh, cfg(1))
+	ref, err := TransformWith(context.Background(), train, sh, cfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := TransformWith(t.Context(), train, sh, cfg(workers))
+		got, err := TransformWith(context.Background(), train, sh, cfg(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +141,10 @@ func TestTransformFloat32WorkersDeterministic(t *testing.T) {
 }
 
 // TestTransformSharedCacheConcurrent runs several transforms of the same
-// dataset concurrently through one prepared-series cache — the
-// cross-validation / train-then-test sharing pattern — and requires every
-// result byte-identical to the sequential reference.  Run under -race in CI,
-// this exercises the cache's once-per-key preparation and the per-Prepared
-// FFT transform cache from multiple goroutines.
+// dataset concurrently — the cross-validation / train-then-test sharing
+// pattern — and requires every result byte-identical to the sequential
+// reference.  Run under -race in CI, this exercises the shared batch and
+// the per-worker scratch arenas from multiple goroutines.
 func TestTransformSharedCacheConcurrent(t *testing.T) {
 	train, _, err := ucr.GenerateByName("Mallat", ucr.GenConfig{Seed: 2, MaxTrain: 8, MaxTest: 1})
 	if err != nil {
@@ -144,21 +152,21 @@ func TestTransformSharedCacheConcurrent(t *testing.T) {
 	}
 	sh := fixtureShapelets(train, []int{16, 64, 300, 512})
 	want := naiveTransform(train, sh)
-	cache := dist.NewCache()
 	var wg sync.WaitGroup
 	results := make([][][]float64, 6)
+	errs := make([]error, len(results))
 	for g := range results {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = TransformCached(train, sh, 1+g%3, nil, cache)
+			results[g], errs[g] = TransformWith(context.Background(), train, sh, TransformConfig{Workers: 1 + g%3})
 		}(g)
 	}
 	wg.Wait()
 	for g, got := range results {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
 		requireBitsEqual(t, got, want, fmt.Sprintf("goroutine %d", g))
-	}
-	if cache.Size() != len(train.Instances) {
-		t.Fatalf("cache size = %d, want one entry per instance (%d)", cache.Size(), len(train.Instances))
 	}
 }

@@ -17,11 +17,11 @@ import (
 func ablationPool(b *testing.B, qn int) (*ip.Pool, *dabf.DABF, *ts.Dataset) {
 	b.Helper()
 	d := plantedDataset(10, 80, 2, 40)
-	pool, err := ip.Generate(context.Background(), d, ip.Config{QN: qn, QS: 3, Seed: 41})
+	pool, err := ip.GenerateSpan(context.Background(), d, ip.Config{QN: qn, QS: 3, Seed: 41}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	filt, err := dabf.Build(pool, dabf.Config{Seed: 42})
+	filt, err := dabf.BuildSpan(context.Background(), pool, dabf.Config{Seed: 42}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,7 +35,9 @@ func BenchmarkAblationPruneDABF(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dabf.Prune(pool, filt)
+				if _, _, err := dabf.PruneSpan(context.Background(), pool, filt, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -68,7 +70,10 @@ func BenchmarkAblationSelection(b *testing.B) {
 		{"dt_cr", true, true},
 	}
 	pool, filt, d := ablationPool(b, 40)
-	pruned, _ := dabf.Prune(pool, filt)
+	pruned, _, err := dabf.PruneSpan(context.Background(), pool, filt, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -87,7 +92,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 		b.Run(benchName("w", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ip.Generate(context.Background(), d, ip.Config{QN: 20, QS: 3, Seed: 44, Workers: workers}); err != nil {
+				if _, err := ip.GenerateSpan(context.Background(), d, ip.Config{QN: 20, QS: 3, Seed: 44, Workers: workers}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -82,7 +82,7 @@ func TestStandardise(t *testing.T) {
 
 func TestRawUtilitiesCRMatchesNoCR(t *testing.T) {
 	d := plantedDataset(6, 60, 2, 1)
-	pool, err := ip.Generate(context.Background(), d, ip.Config{QN: 4, QS: 2, LengthRatios: []float64{0.25}, Seed: 2})
+	pool, err := ip.GenerateSpan(context.Background(), d, ip.Config{QN: 4, QS: 2, LengthRatios: []float64{0.25}, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestRawUtilitiesCRMatchesNoCR(t *testing.T) {
 
 func TestDTUtilitiesCRMatchesNoCR(t *testing.T) {
 	d := plantedDataset(6, 60, 2, 3)
-	pool, err := ip.Generate(context.Background(), d, ip.Config{QN: 4, QS: 2, LengthRatios: []float64{0.25}, Seed: 4})
+	pool, err := ip.GenerateSpan(context.Background(), d, ip.Config{QN: 4, QS: 2, LengthRatios: []float64{0.25}, Seed: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	filt, err := dabf.Build(pool, dabf.Config{Seed: 5})
+	filt, err := dabf.BuildSpan(context.Background(), pool, dabf.Config{Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestUtilityScoresOrdering(t *testing.T) {
 
 func TestSelectTopKCounts(t *testing.T) {
 	d := plantedDataset(8, 80, 3, 6)
-	pool, err := ip.Generate(context.Background(), d, ip.Config{QN: 6, QS: 3, LengthRatios: []float64{0.2}, Seed: 7})
+	pool, err := ip.GenerateSpan(context.Background(), d, ip.Config{QN: 6, QS: 3, LengthRatios: []float64{0.2}, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,11 @@ func TestDiscoverDeterministicUnderInstrumentation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		X := classify.TransformSpan(train, res.Shapelets, workers, o.Root().Child("transform"))
+		X, err := classify.TransformWith(context.Background(), train, res.Shapelets,
+			classify.TransformConfig{Workers: workers, Span: o.Root().Child("transform")})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		o.Finish()
 		return outcome{shapelets: res.Shapelets, features: X}
 	}

@@ -42,7 +42,12 @@ func TestWorkerPoolRaceWorkers8(t *testing.T) {
 			t.Errorf("workers=%d: %v", workers, err)
 			return nil, nil
 		}
-		X := classify.TransformSpan(train, res.Shapelets, workers, o.Root().Child("transform"))
+		X, err := classify.TransformWith(context.Background(), train, res.Shapelets,
+			classify.TransformConfig{Workers: workers, Span: o.Root().Child("transform")})
+		if err != nil {
+			t.Errorf("workers=%d: %v", workers, err)
+			return nil, nil
+		}
 		o.Finish()
 		return res.Shapelets, X
 	}
@@ -89,8 +94,14 @@ func TestKernelDeterminismAtGOMAXPROCS(t *testing.T) {
 		v += math.Sin(float64(i)*0.7) + math.Cos(float64(i*i)*0.13)
 		series[i] = v
 	}
-	ref := mp.SelfJoinOpts(series, 24, nil, mp.Options{Workers: 1})
-	got := mp.SelfJoinOpts(series, 24, nil, mp.Options{Workers: workers})
+	ref, err := mp.SelfJoinCtx(context.Background(), series, 24, nil, mp.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mp.SelfJoinCtx(context.Background(), series, 24, nil, mp.Options{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range ref.P {
 		if math.Float64bits(got.P[i]) != math.Float64bits(ref.P[i]) || got.I[i] != ref.I[i] {
 			t.Fatalf("workers=%d: kernel (P[%d],I[%d]) = (%v,%d), want (%v,%d)",

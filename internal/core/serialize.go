@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"ips/internal/classify"
 	"ips/internal/errs"
@@ -52,17 +53,34 @@ func (m *Model) Save(w io.Writer) error {
 	return enc.Encode(&mf)
 }
 
-// SaveFile writes the model to a file.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
+// SaveFile writes the model to path atomically: it encodes into a temporary
+// file in the same directory, syncs and closes it, then renames it over
+// path.  A failed save leaves any existing file at path byte-identical and
+// removes the temporary, so a reader never sees a torn or truncated model.
+func (m *Model) SaveFile(path string) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	if err := m.Save(f); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close() // already closed on the rename path; the error is moot
+			os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
-	return f.Close()
+	if err = m.Save(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // LoadModel reads a model previously written by Save.

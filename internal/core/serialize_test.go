@@ -79,6 +79,49 @@ func TestModelSaveLoadFile(t *testing.T) {
 	}
 }
 
+// TestModelSaveFileAtomic pins that a failed save leaves the previous model
+// file byte-identical and loadable, with no temporary left behind.
+func TestModelSaveFileAtomic(t *testing.T) {
+	train := plantedDataset(8, 50, 2, 95)
+	model, err := Fit(context.Background(), train, smallOptions(96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.json")
+	if err := model.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&Model{}).SaveFile(path); err == nil {
+		t.Fatal("untrained model should not save")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("failed save changed the file: %d bytes, want %d", len(after), len(before))
+	}
+	if _, err := LoadModelFile(path); err != nil {
+		t.Fatalf("previous model no longer loads: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only model.json", names)
+	}
+}
+
 func TestModelSaveErrors(t *testing.T) {
 	var m Model
 	var buf bytes.Buffer

@@ -166,6 +166,7 @@ func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candid
 	}
 	batch := dist.NewBatch(motifValues)
 	col := make([]float64, n)
+	var scratch dist.Scratch
 	for ii, in := range instances {
 		if ii%utilityCheckEvery == 0 {
 			if err := errs.Ctx(ctx, errs.StageSelection, "utility.dc"); err != nil {
@@ -174,7 +175,7 @@ func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candid
 			}
 		}
 		p := cache.Prepared(in.Values, &counts)
-		if err := batch.EvalIntoCtx(ctx, p, col, &counts); err != nil {
+		if err := batch.EvalScratchCtx(ctx, p, col, &counts, &scratch); err != nil {
 			dcSp.End()
 			return nil, err
 		}

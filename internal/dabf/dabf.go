@@ -22,7 +22,7 @@ type Config struct {
 	Width     float64  // p-stable quantisation width (default 1)
 	Bins      int      // histogram bins for distribution fitting (default 16)
 	Sigma     float64  // z-score threshold θ of the 3σ rule (default 3)
-	// MinKeep is the minimum number of motif candidates Prune retains per
+	// MinKeep is the minimum number of motif candidates PruneSpan retains per
 	// class (default 10): when the θσ rule would remove more, the motifs
 	// with the largest z-scores against other classes — the most
 	// distinctive ones — are kept, so top-k selection never starves.
@@ -78,7 +78,7 @@ type ClassFilter struct {
 	// distribution can be fitted meaningfully.  A degenerate filter answers
 	// every CloseToMost query with false (zScore returns +Inf): it never
 	// prunes candidates of other classes, the safe direction for a filter
-	// whose statistics are fiction.  Build still records Dist/Mu/Sigma for
+	// whose statistics are fiction.  BuildSpan still records Dist/Mu/Sigma for
 	// inspection, but downstream pruning ignores them.
 	Degenerate bool
 
@@ -91,15 +91,11 @@ type DABF struct {
 	Cfg      Config
 }
 
-// Build runs Algorithm 2: per class, hash every candidate (motifs and
+// BuildSpan runs Algorithm 2: per class, hash every candidate (motifs and
 // discords) into buckets, rank buckets by centre distance from the origin,
 // z-normalise the projected norms, and fit the best distribution by NMSE.
-func Build(pool *ip.Pool, cfg Config) (*DABF, error) {
-	return BuildSpan(context.Background(), pool, cfg, nil)
-}
-
-// BuildSpan is Build with observability and cooperative cancellation: a
-// sub-span per class filter (annotated with the chosen distribution, its
+//
+// A sub-span per class filter (annotated with the chosen distribution, its
 // NMSE, and the bucket count) and a bucket-occupancy histogram hang off sp.
 // A nil span disables all of it; the filter is identical either way.  The
 // context is checked once per class; a cancelled build returns a nil filter
@@ -316,23 +312,13 @@ type PruneStats struct {
 	Pruned   int
 }
 
-// Prune runs Algorithm 3: every candidate is queried against the DABF of
-// every *other* class; candidates possibly close to most elements of some
+// PruneSpan runs Algorithm 3: every candidate is queried against the DABF
+// of every *other* class; candidates possibly close to most elements of some
 // other class are removed.  A new pool is returned; the input is untouched.
 // At least cfg.MinKeep motif candidates survive per class (the most
 // distinctive ones by z-score) so downstream selection never starves.
-func Prune(pool *ip.Pool, d *DABF) (*ip.Pool, PruneStats) {
-	out, st, err := PruneSpan(context.Background(), pool, d, nil)
-	if err != nil {
-		// Unreachable: a background context never cancels and the queries
-		// have no other failure mode.
-		return &ip.Pool{ByClass: map[int][]ip.Candidate{}}, st
-	}
-	return out, st
-}
-
-// PruneSpan is Prune with observability and cooperative cancellation.  It
-// feeds four counters: dabf.prune.examined / accepted / rejected, and
+//
+// It feeds four counters: dabf.prune.examined / accepted / rejected, and
 // dabf.prune.false_positives — candidates the filter answered "possibly
 // close" for but the MinKeep floor restored as the most distinctive of
 // their class, i.e. the measurable proxy for the filter's false-positive
@@ -471,7 +457,7 @@ func NaivePrune(ctx context.Context, pool *ip.Pool, dim int, theta float64) (*ip
 		}
 	}
 	quota := 1 - 1/(theta*theta) // Chebyshev's "most elements"
-	const minKeep = 10           // same starvation floor as the DABF Prune
+	const minKeep = 10           // same starvation floor as PruneSpan
 	out := &ip.Pool{ByClass: map[int][]ip.Candidate{}}
 	var st PruneStats
 	for class, cands := range pool.ByClass {

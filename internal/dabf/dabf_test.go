@@ -121,7 +121,7 @@ func twoClassPool(perClass int, seed int64) *ip.Pool {
 
 func TestBuildProducesRankedBucketsAndFit(t *testing.T) {
 	pool := twoClassPool(40, 3)
-	d, err := Build(pool, Config{Seed: 4})
+	d, err := BuildSpan(context.Background(), pool, Config{Seed: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,17 +152,17 @@ func TestBuildProducesRankedBucketsAndFit(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(nil, Config{}); err == nil {
+	if _, err := BuildSpan(context.Background(), nil, Config{}, nil); err == nil {
 		t.Fatal("nil pool should error")
 	}
-	if _, err := Build(&ip.Pool{ByClass: map[int][]ip.Candidate{}}, Config{}); err == nil {
+	if _, err := BuildSpan(context.Background(), &ip.Pool{ByClass: map[int][]ip.Candidate{}}, Config{}, nil); err == nil {
 		t.Fatal("empty pool should error")
 	}
 }
 
 func TestCloseToMostSemantics(t *testing.T) {
 	pool := twoClassPool(60, 5)
-	d, err := Build(pool, Config{Seed: 6})
+	d, err := BuildSpan(context.Background(), pool, Config{Seed: 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestCloseToMostSemantics(t *testing.T) {
 
 func TestBucketIndex(t *testing.T) {
 	pool := twoClassPool(50, 7)
-	d, err := Build(pool, Config{Seed: 8})
+	d, err := BuildSpan(context.Background(), pool, Config{Seed: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,14 @@ func TestPruneRemovesCrossClassCandidates(t *testing.T) {
 	pool.ByClass[0] = append(pool.ByClass[0], ip.Candidate{
 		Class: 0, Kind: ip.Motif, Values: impostor,
 	})
-	d, err := Build(pool, Config{Seed: 10})
+	d, err := BuildSpan(context.Background(), pool, Config{Seed: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, st := Prune(pool, d)
+	pruned, st, err := PruneSpan(context.Background(), pool, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Examined != pool.Size() {
 		t.Fatalf("examined %d, want %d", st.Examined, pool.Size())
 	}
@@ -257,11 +260,14 @@ func TestPruneKeepsFallbackMotif(t *testing.T) {
 			pool.ByClass[c] = append(pool.ByClass[c], ip.Candidate{Class: c, Kind: ip.Motif, Values: vals})
 		}
 	}
-	d, err := Build(pool, Config{Seed: 12})
+	d, err := BuildSpan(context.Background(), pool, Config{Seed: 12}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, _ := Prune(pool, d)
+	pruned, _, err := PruneSpan(context.Background(), pool, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for c := 0; c < 2; c++ {
 		motifs := 0
 		for _, cand := range pruned.ByClass[c] {
@@ -302,12 +308,14 @@ func TestDABFFasterThanNaive(t *testing.T) {
 		t.Skip("timing comparison skipped in -short mode")
 	}
 	pool := twoClassPool(400, 14)
-	d, err := Build(pool, Config{Seed: 15})
+	d, err := BuildSpan(context.Background(), pool, Config{Seed: 15}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t0 := nowNs()
-	Prune(pool, d)
+	if _, _, err := PruneSpan(context.Background(), pool, d, nil); err != nil {
+		t.Fatal(err)
+	}
 	dabfNs := nowNs() - t0
 	t0 = nowNs()
 	if _, _, err := NaivePrune(context.Background(), pool, 32, 3); err != nil {

@@ -1,6 +1,7 @@
 package dabf
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,7 +13,7 @@ import (
 // threshold stays close at any looser one.
 func TestCloseToMostMonotoneInTheta(t *testing.T) {
 	pool := twoClassPool(40, 100)
-	d, err := Build(pool, Config{Seed: 101})
+	d, err := BuildSpan(context.Background(), pool, Config{Seed: 101}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestCloseToMostMonotoneInTheta(t *testing.T) {
 
 func TestProjectValuesDimension(t *testing.T) {
 	pool := twoClassPool(20, 102)
-	d, err := Build(pool, Config{NumHashes: 6, Seed: 103})
+	d, err := BuildSpan(context.Background(), pool, Config{NumHashes: 6, Seed: 103}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +59,12 @@ func TestProjectValuesDimension(t *testing.T) {
 func TestPruneNeverGrows(t *testing.T) {
 	f := func(seed int64) bool {
 		pool := twoClassPool(10+int(seed%30+30)%30, seed)
-		d, err := Build(pool, Config{Seed: seed})
+		d, err := BuildSpan(context.Background(), pool, Config{Seed: seed}, nil)
 		if err != nil {
 			return false
 		}
-		pruned, st := Prune(pool, d)
-		if pruned.Size() > pool.Size() {
+		pruned, st, err := PruneSpan(context.Background(), pool, d, nil)
+		if err != nil || pruned.Size() > pool.Size() {
 			return false
 		}
 		return st.Examined == pool.Size()

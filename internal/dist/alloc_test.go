@@ -81,15 +81,14 @@ func TestBatchEvalAllocs(t *testing.T) {
 	}
 }
 
-// TestScratchMatchesEvalInto pins that the scratch path is a pure
-// refactoring of EvalInto at float64: byte-identical output on both the
-// cached-Prepared and scratch-prepared routes (kernel choice differs between
-// them, which by contract never changes results).
+// TestScratchMatchesEvalInto pins that the scratch-prepared route matches
+// the resident-Prepared route with a per-call scratch at float64:
+// byte-identical output (kernel choice differs between them, which by
+// contract never changes results).
 func TestScratchMatchesEvalInto(t *testing.T) {
 	b, series := allocBatch()
 	p := Prepare(series)
-	want := make([]float64, b.Len())
-	b.EvalInto(p, want, nil)
+	want := evalInto(t, b, p, make([]float64, b.Len()), nil)
 
 	var s Scratch
 	got := make([]float64, b.Len())
@@ -98,7 +97,7 @@ func TestScratchMatchesEvalInto(t *testing.T) {
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("query %d: scratch route = %v, EvalInto = %v (must be byte-identical)", i, got[i], want[i])
+			t.Fatalf("query %d: scratch route = %v, resident route = %v (must be byte-identical)", i, got[i], want[i])
 		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 // so per (series, length) work — the window Σt² vector from the prefix sums
 // and the padded series FFT — is paid once per group instead of once per
 // query.  A Batch is immutable after construction and safe for concurrent
-// EvalInto calls against different (or the same) Prepared series.
+// EvalScratchCtx calls (one Scratch per goroutine) against different (or
+// the same) Prepared series.
 type Batch struct {
 	queries [][]float64
 	qq      []float64
@@ -68,8 +69,8 @@ func (b *Batch) Len() int { return len(b.queries) }
 
 // SetKernel forces every non-degenerate evaluation onto the given kernel
 // (KernelAuto restores the per-group crossover).  Kernel choice never
-// changes results — it is a throughput/debugging knob, exposed on the CLIs
-// as -dist-kernel.  Must be called before the batch is shared across
+// changes results — it is a measurement knob for benchmarks and the
+// byte-identity tests.  Must be called before the batch is shared across
 // goroutines.
 func (b *Batch) SetKernel(k Kernel) {
 	if k == KernelExact {
@@ -109,51 +110,26 @@ func (b *Batch) SetPrecision(p Precision) {
 // Precision returns the arithmetic width the batch evaluates with.
 func (b *Batch) Precision() Precision { return b.precision }
 
-// Eval returns the Def. 4 distance of every query against the prepared
-// series, byte-identical per pair to ts.Dist(query, series).
+// EvalScratchCtx evaluates every query against p into out (which must hold
+// Len() values), each byte-identical at float64 precision to
+// ts.Dist(query, series), accumulating kernel accounting into c (nil is
+// allowed).  Queries are processed grouped by length: the window Σt² vector
+// is built once per group from the prefix sums, and the fft kernel reuses
+// one cached padded series transform across every group whose pad size
+// coincides.
 //
-//ips:blocking
-func (b *Batch) Eval(p *Prepared) []float64 {
-	out := make([]float64, len(b.queries))
-	b.EvalInto(p, out, nil)
-	return out
-}
-
-// EvalInto evaluates every query against p into out (which must hold Len()
-// values), accumulating kernel accounting into c (nil is allowed).  Queries
-// are processed grouped by length: the window Σt² vector is built once per
-// group from the prefix sums, and the fft kernel reuses one cached padded
-// series transform across every group whose pad size coincides.
+// The working set comes from a caller-owned Scratch (nil means a fresh one
+// per call): the window-energy vector, the fft buffers, and (for float32
+// batches) their single-precision counterparts all grow once inside s and
+// are reused verbatim on the next call.  Callers that re-evaluate the same
+// batch against a stream of series — the serve loop, CV folds — perform
+// zero allocations after warm-up.  s must not be shared across goroutines.
 //
-//ips:blocking
-func (b *Batch) EvalInto(p *Prepared, out []float64, c *Counts) {
-	if err := b.EvalIntoCtx(context.Background(), p, out, c); err != nil {
-		// Unreachable: a background context never cancels and the batch has
-		// no other failure mode.  out is fully written either way.
-		return
-	}
-}
-
-// EvalIntoCtx is EvalInto with cooperative cancellation at length-group
-// granularity: between groups the context is checked, and once it is done
-// the remaining groups are skipped and an error matching errs.ErrCanceled
-// is returned.  On cancellation out holds the completed groups' values and
-// arbitrary (stale) values for the rest; callers must discard it.
-//
-//ips:blocking
-func (b *Batch) EvalIntoCtx(ctx context.Context, p *Prepared, out []float64, c *Counts) error {
-	var s Scratch
-	return b.EvalScratchCtx(ctx, p, out, c, &s)
-}
-
-// EvalScratchCtx is EvalIntoCtx with the working set drawn from a
-// caller-owned Scratch instead of per-call locals: the window-energy vector,
-// the fft buffers, and (for float32 batches) their single-precision
-// counterparts all grow once inside s and are reused verbatim on the next
-// call.  This is the steady-state path for callers that re-evaluate the same
-// batch against a stream of series — the serve loop, CV folds — where it
-// performs zero allocations after warm-up.  s must not be shared across
-// goroutines.
+// Cancellation is cooperative at length-group granularity: between groups
+// the context is checked, and once it is done the remaining groups are
+// skipped and an error matching errs.ErrCanceled is returned.  On
+// cancellation out holds the completed groups' values and arbitrary (stale)
+// values for the rest; callers must discard it.
 //
 //ips:blocking
 func (b *Batch) EvalScratchCtx(ctx context.Context, p *Prepared, out []float64, c *Counts, s *Scratch) error {
@@ -339,7 +315,7 @@ func (b *Batch) eval64Fallback(p *Prepared, qi int, out []float64, c *Counts) {
 
 // logCanceled and logExactFallback exist to keep their variadic ...any
 // arguments — which box one interface value per argument per call — out of
-// EvalIntoCtx's group loop; in these straight-line bodies the boxing happens
+// EvalScratchCtx's group loop; in these straight-line bodies the boxing happens
 // at most once per event instead of per iteration.
 func (b *Batch) logCanceled(ctx context.Context) {
 	obs.Log(ctx).Debug("batch evaluation canceled",

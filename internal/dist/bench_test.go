@@ -39,7 +39,7 @@ func BenchmarkKernels(b *testing.B) {
 					p := Prepare(series)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						batch.EvalInto(p, out, nil)
+						evalInto(b, batch, p, out, nil)
 					}
 				})
 			}

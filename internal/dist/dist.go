@@ -25,7 +25,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -61,20 +60,6 @@ func (k Kernel) String() string {
 	default:
 		return "auto"
 	}
-}
-
-// ParseKernel parses a kernel name as accepted by the CLIs' -dist-kernel
-// flag: "auto", "rolling", or "fft" (the exact fallback is not forcible).
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "auto", "":
-		return KernelAuto, nil
-	case "rolling":
-		return KernelRolling, nil
-	case "fft":
-		return KernelFFT, nil
-	}
-	return KernelAuto, fmt.Errorf("dist: unknown kernel %q (want auto, rolling, or fft)", s)
 }
 
 // fftMinQueryLen is the shortest query the fft kernel is considered for:

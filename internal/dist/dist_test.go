@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,16 @@ import (
 	"ips/internal/obs"
 	"ips/internal/ts"
 )
+
+// evalInto runs EvalScratchCtx with a per-call scratch on a context that
+// never cancels, failing the test on error, and returns out.
+func evalInto(tb testing.TB, b *Batch, p *Prepared, out []float64, c *Counts) []float64 {
+	tb.Helper()
+	if err := b.EvalScratchCtx(context.Background(), p, out, c, nil); err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
 
 // randSeries draws a series whose character depends on kind: random walks
 // (the benchmark substrate), iid noise, near-constant runs (norm-bound and
@@ -104,7 +115,7 @@ func TestBatchKernelsMatchTsDist(t *testing.T) {
 			p := Prepare(series)
 			var c Counts
 			out := make([]float64, len(queries))
-			b.EvalInto(p, out, &c)
+			evalInto(t, b, p, out, &c)
 			for i := range out {
 				if !bitsEqual(out[i], want[i]) {
 					t.Fatalf("kind=%d kernel=%v query %d (m=%d): got %v (bits %x), want %v (bits %x)",
@@ -150,7 +161,7 @@ func TestDegenerateInputs(t *testing.T) {
 			t.Errorf("%s: Dist=%v, ts.Dist=%v", tc.name, got, want)
 		}
 		b := NewBatch([][]float64{tc.q})
-		if out := b.Eval(p); !bitsEqual(out[0], want) {
+		if out := evalInto(t, b, p, make([]float64, 1), nil); !bitsEqual(out[0], want) {
 			t.Errorf("%s: batch=%v, ts.Dist=%v", tc.name, out[0], want)
 		}
 	}
@@ -231,7 +242,7 @@ func TestCountsFlush(t *testing.T) {
 	b := NewBatch(queries)
 	p := Prepare(series)
 	var c Counts
-	b.EvalInto(p, make([]float64, len(queries)), &c)
+	evalInto(t, b, p, make([]float64, len(queries)), &c)
 	c.AddTo(o.Metrics())
 	if got := o.Metrics().Counter("dist.kernel.rolling").Value(); got != c.Rolling {
 		t.Fatalf("registry rolling = %d, want %d", got, c.Rolling)
@@ -257,12 +268,12 @@ func TestFFTTransformCacheReuse(t *testing.T) {
 	b := NewBatch(queries)
 	b.SetKernel(KernelFFT)
 	var c Counts
-	b.EvalInto(p, make([]float64, len(queries)), &c)
+	evalInto(t, b, p, make([]float64, len(queries)), &c)
 	if c.FFTCacheMisses == 0 || c.FFTCacheHits == 0 {
 		t.Fatalf("expected both misses and hits across shared pad sizes: %+v", c)
 	}
 	before := c
-	b.EvalInto(p, make([]float64, len(queries)), &c)
+	evalInto(t, b, p, make([]float64, len(queries)), &c)
 	if c.FFTCacheMisses != before.FFTCacheMisses {
 		t.Fatalf("second pass rebuilt transforms: %+v", c)
 	}

@@ -76,7 +76,7 @@ func FuzzDist(f *testing.F) {
 		for _, kernel := range []Kernel{KernelRolling, KernelFFT} {
 			b := NewBatch([][]float64{q})
 			b.SetKernel(kernel)
-			if out := b.Eval(p); !bitsEqual(out[0], want) {
+			if out := evalInto(t, b, p, make([]float64, 1), nil); !bitsEqual(out[0], want) {
 				t.Fatalf("kernel %v = %v (bits %x), ts.Dist = %v (bits %x), m=%d n=%d",
 					kernel, out[0], math.Float64bits(out[0]), want, math.Float64bits(want), len(q), len(series))
 			}
@@ -93,7 +93,7 @@ func FuzzDist(f *testing.F) {
 			b32.SetKernel(kernel)
 			b32.SetPrecision(PrecisionFloat32)
 			out := make([]float64, 1)
-			b32.EvalInto(p, out, nil)
+			evalInto(t, b32, p, out, nil)
 			_, _, seriesOK := p.f32()
 			if len(q) == 0 || len(q) > len(series) || !p.finite || !seriesOK || !b32.finite32[0] {
 				if !bitsEqual(out[0], want) {

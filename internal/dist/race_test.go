@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -48,7 +49,10 @@ func TestSharedCacheConcurrent(t *testing.T) {
 			out := make([]float64, len(queries))
 			for si, s := range seriesSet {
 				p := cache.Prepared(s, &c)
-				batch.EvalInto(p, out, &c)
+				if err := batch.EvalScratchCtx(context.Background(), p, out, &c, nil); err != nil {
+					errs <- err.Error()
+					return
+				}
 				for qi := range out {
 					if math.Float64bits(out[qi]) != math.Float64bits(want[si][qi]) {
 						errs <- "concurrent result diverged from sequential reference"

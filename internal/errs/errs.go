@@ -31,7 +31,7 @@ type Stage string
 const (
 	// StageValidate covers input validation at API boundaries.
 	StageValidate Stage = "validate"
-	// StageCandidateGen covers Algorithm 1 (ip.Generate).
+	// StageCandidateGen covers Algorithm 1 (ip.GenerateSpan).
 	StageCandidateGen Stage = "candidate-gen"
 	// StagePruning covers DABF build + prune (Alg. 2+3) and NaivePrune.
 	StagePruning Stage = "pruning"

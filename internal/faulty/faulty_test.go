@@ -192,12 +192,13 @@ func TestCancellationStormTransform(t *testing.T) {
 		shapelets = append(shapelets, classify.Shapelet{Class: in.Label, Values: in.Values[:24].Clone()})
 	}
 	t0 := time.Now()
-	if _, err := classify.TransformCtx(context.Background(), d, shapelets, 4, nil, nil); err != nil {
+	cfg := classify.TransformConfig{Workers: 4}
+	if _, err := classify.TransformWith(context.Background(), d, shapelets, cfg); err != nil {
 		t.Fatal(err)
 	}
 	span := time.Since(t0) + time.Millisecond
 	if msg := faulty.Storm(100, span, func(ctx context.Context) error {
-		_, err := classify.TransformCtx(ctx, d, shapelets, 4, nil, nil)
+		_, err := classify.TransformWith(ctx, d, shapelets, cfg)
 		return err
 	}); msg != "" {
 		t.Fatal(msg)

@@ -98,7 +98,7 @@ func (p *Pool) filter(c int, k Kind) []Candidate {
 	return out
 }
 
-// Config parameterises Generate (Algorithm 1).
+// Config parameterises GenerateSpan (Algorithm 1).
 type Config struct {
 	// QN is the number of bagging samples per class (paper: {10,20,50,100}).
 	QN int
@@ -114,7 +114,7 @@ type Config struct {
 	// Workers sets the number of goroutines computing instance profiles
 	// (<=1 means sequential).  When there are fewer profile jobs than
 	// workers, the spare parallelism drops into the diagonal-tiled STOMP
-	// kernel instead (see mp.SelfJoinOpts).  The sampling itself stays
+	// kernel instead (see mp.SelfJoinCtx).  The sampling itself stays
 	// sequential and the kernel is byte-identical for any worker count, so
 	// the candidate pool is identical however the work is split — this is
 	// the shared-memory form of the distributed discovery the paper lists
@@ -142,26 +142,27 @@ func (c Config) Defaults() Config {
 // InstanceProfile computes IP(D_C, L) of Def. 8 over the given instances:
 // the matrix profile of their concatenation with subsequences spanning
 // instance boundaries excluded.  It returns the profile and the
-// concatenated series it annotates.
-func InstanceProfile(ins []ts.Instance, L int) (*mp.Profile, ts.Series) {
-	return InstanceProfileOpts(ins, L, mp.Options{})
-}
-
-// InstanceProfileOpts is InstanceProfile with an explicit kernel
-// configuration: opt.Workers parallelises the underlying STOMP self-join
-// over diagonal tiles (the profile is byte-identical for any worker
-// count), and opt.Span receives the kernel's spans.
-func InstanceProfileOpts(ins []ts.Instance, L int, opt mp.Options) (*mp.Profile, ts.Series) {
+// concatenated series it annotates.  opt.Workers parallelises the
+// underlying STOMP self-join over diagonal tiles (the profile is
+// byte-identical for any worker count), and opt.Span receives the kernel's
+// spans.  Cancelling ctx returns an error matching errs.ErrCanceled.
+//
+//ips:blocking
+func InstanceProfile(ctx context.Context, ins []ts.Instance, L int, opt mp.Options) (*mp.Profile, ts.Series, error) {
 	cat, starts := ts.ConcatenateInstances(ins)
 	valid := ts.BoundaryMask(starts, len(cat), L)
-	return mp.SelfJoinOpts(cat, L, valid, opt), cat
+	prof, err := mp.SelfJoinCtx(ctx, cat, L, valid, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return prof, cat, nil
 }
 
 // Lengths converts the configured ratios into absolute candidate lengths for
 // instances of length n, deduplicated and floored at MinLength.  A length
 // that would exceed n — which happens exactly when the series is shorter
 // than the smallest candidate length MinLength — is dropped rather than
-// clamped, so a too-short series yields nil and Generate reports the class
+// clamped, so a too-short series yields nil and GenerateSpan reports the class
 // as a typed bad-input error instead of manufacturing a degenerate
 // whole-series candidate.
 func (c Config) Lengths(n int) []int {
@@ -196,21 +197,15 @@ type job struct {
 	starts []int
 }
 
-// Generate runs Algorithm 1 and returns the candidate pool Φ.  The sampling
-// is sequential and seeded; the per-sample instance-profile computations fan
-// out over cfg.Workers goroutines, producing an identical pool for any
-// worker count.
+// GenerateSpan runs Algorithm 1 and returns the candidate pool Φ.  The
+// sampling is sequential and seeded; the per-sample instance-profile
+// computations fan out over cfg.Workers goroutines, producing an identical
+// pool for any worker count.
 //
-//ips:blocking
-func Generate(ctx context.Context, d *ts.Dataset, cfg Config) (*Pool, error) {
-	return GenerateSpan(ctx, d, cfg, nil)
-}
-
-// GenerateSpan is Generate with observability: sub-spans for per-class
-// sampling and the profile fan-out, per-length and per-class candidate
-// counters, worker-utilisation gauges, and streamed per-job progress hang
-// off sp.  A nil span disables all of it at the cost of a pointer check;
-// the candidate pool is identical either way.
+// Sub-spans for per-class sampling and the profile fan-out, per-length and
+// per-class candidate counters, worker-utilisation gauges, and streamed
+// per-job progress hang off sp.  A nil span disables all of it at the cost
+// of a pointer check; the candidate pool is identical either way.
 //
 // Cancellation is cooperative at instance-profile-job granularity (and,
 // inside each job, at the STOMP kernel's tile granularity): once ctx is
@@ -332,12 +327,13 @@ func GenerateSpan(ctx context.Context, d *ts.Dataset, cfg Config, sp *obs.Span) 
 		wg.Wait()
 		// Worker utilisation: jobs handled per goroutine.  With a shared
 		// unbuffered channel this stays near-uniform unless one profile
-		// dominates.
+		// dominates.  The split is scheduler-dependent, so it is published
+		// only as gauges (which manifests normalise), never as a span
+		// attribute.
 		if m := sp.Metrics(); m != nil {
 			for w, n := range perWorker {
 				m.Gauge(fmt.Sprintf("ip.worker_jobs.w%d", w)).Set(float64(n))
 			}
-			psp.SetString("worker_jobs", fmt.Sprint(perWorker))
 		}
 	} else {
 		for ji := range jobs {

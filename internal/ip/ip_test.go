@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ips/internal/mp"
 	"ips/internal/ts"
 )
 
@@ -83,7 +84,10 @@ func TestInstanceProfileExcludesBoundaries(t *testing.T) {
 		}
 	}
 	L := 8
-	prof, cat := InstanceProfile(ins, L)
+	prof, cat, err := InstanceProfile(context.Background(), ins, L, mp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cat) != 40 {
 		t.Fatalf("cat len = %d", len(cat))
 	}
@@ -102,7 +106,7 @@ func TestInstanceProfileExcludesBoundaries(t *testing.T) {
 func TestGenerateFindsPlantedPattern(t *testing.T) {
 	d := makeDataset(8, 60, 2)
 	cfg := Config{QN: 6, QS: 3, LengthRatios: []float64{0.2}, Seed: 3}
-	pool, err := Generate(context.Background(), d, cfg)
+	pool, err := GenerateSpan(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +150,11 @@ func TestGenerateFindsPlantedPattern(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	d := makeDataset(6, 50, 4)
 	cfg := Config{QN: 3, QS: 2, LengthRatios: []float64{0.3}, Seed: 99}
-	p1, err := Generate(context.Background(), d, cfg)
+	p1, err := GenerateSpan(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Generate(context.Background(), d, cfg)
+	p2, err := GenerateSpan(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +173,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateCandidateValuesAreCopies(t *testing.T) {
 	d := makeDataset(4, 40, 5)
-	pool, err := Generate(context.Background(), d, Config{QN: 2, QS: 2, LengthRatios: []float64{0.25}, Seed: 1})
+	pool, err := GenerateSpan(context.Background(), d, Config{QN: 2, QS: 2, LengthRatios: []float64{0.25}, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +195,14 @@ func TestGenerateCandidateValuesAreCopies(t *testing.T) {
 func TestGenerateParallelMatchesSequential(t *testing.T) {
 	d := makeDataset(8, 60, 30)
 	base := Config{QN: 6, QS: 3, LengthRatios: []float64{0.2, 0.3}, Seed: 31}
-	seq, err := Generate(context.Background(), d, base)
+	seq, err := GenerateSpan(context.Background(), d, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		cfg := base
 		cfg.Workers = workers
-		par, err := Generate(context.Background(), d, cfg)
+		par, err := GenerateSpan(context.Background(), d, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +227,7 @@ func TestGenerateParallelMatchesSequential(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	if _, err := Generate(context.Background(), &ts.Dataset{}, Config{}); err == nil {
+	if _, err := GenerateSpan(context.Background(), &ts.Dataset{}, Config{}, nil); err == nil {
 		t.Fatal("empty dataset should error")
 	}
 }
@@ -238,7 +242,7 @@ func TestGenerateShortSeries(t *testing.T) {
 		{Values: ts.Series{5, 5, 5, 5, 6, 6, 6, 6}, Label: 1},
 		{Values: ts.Series{6, 6, 6, 6, 5, 5, 5, 5}, Label: 1},
 	}}
-	pool, err := Generate(context.Background(), d, Config{QN: 2, QS: 2, LengthRatios: []float64{0.5}, Seed: 2})
+	pool, err := GenerateSpan(context.Background(), d, Config{QN: 2, QS: 2, LengthRatios: []float64{0.5}, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func FuzzSelfJoin(f *testing.F) {
 		}
 		series := fuzzSeries(data)
 		w := 2 + int(wRaw)%64
-		ref := SelfJoinOpts(series, w, nil, Options{Workers: 1})
+		ref := selfJoin(t, series, w, nil, 1)
 		n := len(series) - w + 1
 		if n <= 0 {
 			if ref.Len() != 0 {
@@ -78,7 +78,7 @@ func FuzzSelfJoin(f *testing.F) {
 		}
 		checkProfileFinite(t, ref, n)
 		for _, workers := range []int{2, 5} {
-			got := SelfJoinOpts(series, w, nil, Options{Workers: workers})
+			got := selfJoin(t, series, w, nil, workers)
 			for i := range got.P {
 				if math.Float64bits(got.P[i]) != math.Float64bits(ref.P[i]) || got.I[i] != ref.I[i] {
 					t.Fatalf("workers=%d: (P[%d],I[%d]) = (%v,%d), want (%v,%d)",
@@ -130,7 +130,7 @@ func FuzzMASS(f *testing.F) {
 }
 
 // FuzzIncremental cross-checks the STOMPI append path against a fresh
-// SelfJoin recompute: for an arbitrary finite series, an arbitrary window,
+// SelfJoinCtx recompute: for an arbitrary finite series, an arbitrary window,
 // and an arbitrary seed/append split point, the incrementally maintained
 // profile must be byte-identical to the batch kernel's.  This is the same
 // contract TestIncrementalByteIdentity pins on curated cases, explored over
@@ -164,7 +164,7 @@ func FuzzIncremental(f *testing.F) {
 			}
 		}
 		got := inc.Profile()
-		want := SelfJoinOpts(series, w, nil, Options{Workers: 1})
+		want := selfJoin(t, series, w, nil, 1)
 		n := len(series) - w + 1
 		if n <= 0 {
 			if got.Len() != 0 {

@@ -95,7 +95,7 @@ func TestTopMotifsAndDiscords(t *testing.T) {
 	// amplitude — z-normalisation removes that) occurs nowhere else.
 	discordShape := []float64{0, 4, -3, 5, -4, 2, -5, 3}
 	copy(series[120:], discordShape)
-	p := SelfJoin(series, len(motif), nil)
+	p := selfJoin(t, series, len(motif), nil, 1)
 	motifs := p.TopMotifs(1)
 	if len(motifs) != 1 {
 		t.Fatalf("motifs = %v", motifs)

@@ -20,9 +20,9 @@ func TestParallelMergeByteIdentical(t *testing.T) {
 	if len(series)-w+1 < parallelMergeMin {
 		t.Fatalf("fixture too small to exercise the parallel merge")
 	}
-	ref := SelfJoinOpts(series, w, nil, Options{Workers: 1})
+	ref := selfJoin(t, series, w, nil, 1)
 	for _, workers := range []int{2, 8} {
-		got := SelfJoinOpts(series, w, nil, Options{Workers: workers})
+		got := selfJoin(t, series, w, nil, workers)
 		requireIdentical(t, got, ref, fmt.Sprintf("large self-join workers=%d", workers))
 	}
 }

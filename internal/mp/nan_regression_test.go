@@ -53,7 +53,7 @@ func TestSelfJoinFlatSegmentNoNaN(t *testing.T) {
 		series[i] = 7.25 // long constant run: many zero-variance windows
 	}
 	for _, workers := range []int{1, 4} {
-		p := SelfJoinOpts(series, 12, nil, Options{Workers: workers})
+		p := selfJoin(t, series, 12, nil, workers)
 		for i, v := range p.P {
 			if math.IsNaN(v) {
 				t.Fatalf("workers=%d: P[%d] is NaN", workers, i)
@@ -70,7 +70,7 @@ func TestSelfJoinHugeMagnitudesNoNaN(t *testing.T) {
 	for i := range series {
 		series[i] *= 1e180
 	}
-	p := SelfJoin(series, 8, nil)
+	p := selfJoin(t, series, 8, nil, 1)
 	for i, v := range p.P {
 		if math.IsNaN(v) {
 			t.Fatalf("P[%d] is NaN", i)

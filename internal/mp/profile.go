@@ -109,31 +109,3 @@ func Diff(a, b *Profile) []float64 {
 	}
 	return out
 }
-
-// SelfJoin computes the matrix profile of t with window w under z-normalised
-// Euclidean distance, using the STOMP recurrence (O(1) dot-product update per
-// cell, O(N²) total).  Subsequences within w/2 of the query (the standard
-// exclusion zone¹) are excluded, as are subsequences for which valid is false
-// when a mask is supplied (nil means all valid).
-//
-// SelfJoin is the sequential convenience form of SelfJoinOpts; see there for
-// the diagonal-tiled kernel and its determinism contract.
-//
-// ¹ Footnote 1 of the paper: trivially overlapping neighbours are excluded.
-//
-//ips:blocking
-func SelfJoin(t []float64, w int, valid []bool) *Profile {
-	return SelfJoinOpts(t, w, valid, Options{})
-}
-
-// ABJoin computes, for every length-w subsequence of a, its nearest-neighbour
-// z-normalised distance among the subsequences of b (the paper's P_AB).  No
-// exclusion zone applies because the two series are distinct.  validA/validB
-// optionally mask boundary-spanning subsequences (nil means all valid).
-//
-// ABJoin is the sequential convenience form of ABJoinOpts.
-//
-//ips:blocking
-func ABJoin(a, b []float64, w int, validA, validB []bool) *Profile {
-	return ABJoinOpts(a, b, w, validA, validB, Options{})
-}

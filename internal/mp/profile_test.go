@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,27 @@ import (
 
 	"ips/internal/ts"
 )
+
+// selfJoin runs SelfJoinCtx with the given worker count on a context that
+// never cancels, failing the test on error.
+func selfJoin(tb testing.TB, t []float64, w int, valid []bool, workers int) *Profile {
+	tb.Helper()
+	p, err := SelfJoinCtx(context.Background(), t, w, valid, Options{Workers: workers})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// abJoin is selfJoin for ABJoinCtx.
+func abJoin(tb testing.TB, a, b []float64, w int, validA, validB []bool, workers int) *Profile {
+	tb.Helper()
+	p, err := ABJoinCtx(context.Background(), a, b, w, validA, validB, Options{Workers: workers})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
 
 // naiveSelfJoin computes the self-join matrix profile directly from the
 // definition, used as an oracle for the STOMP implementation.
@@ -110,7 +132,7 @@ func TestSelfJoinMatchesNaive(t *testing.T) {
 	for _, n := range []int{30, 64, 127} {
 		for _, w := range []int{4, 8, 16} {
 			series := randomSeries(n, int64(n*w))
-			got := SelfJoin(series, w, nil)
+			got := selfJoin(t, series, w, nil, 1)
 			want := naiveSelfJoin(series, w, nil)
 			profilesClose(t, got, want, 1e-6)
 		}
@@ -124,7 +146,7 @@ func TestSelfJoinMasked(t *testing.T) {
 	for i := range valid {
 		valid[i] = i%3 != 0 // arbitrary mask
 	}
-	got := SelfJoin(series, w, valid)
+	got := selfJoin(t, series, w, valid, 1)
 	want := naiveSelfJoin(series, w, valid)
 	profilesClose(t, got, want, 1e-6)
 	for i := range valid {
@@ -144,7 +166,7 @@ func TestSelfJoinFindsPlantedMotif(t *testing.T) {
 	pattern := []float64{0, 2, 4, 2, 0, -2, -4, -2, 0, 2, 4, 2, 0, -2, -4, -2}
 	copy(series[40:], pattern)
 	copy(series[200:], pattern)
-	p := SelfJoin(series, len(pattern), nil)
+	p := selfJoin(t, series, len(pattern), nil, 1)
 	idx, v := p.MinIndex()
 	if v > 0.2 {
 		t.Fatalf("motif distance too large: %v", v)
@@ -166,7 +188,7 @@ func near(x, target, tol int) bool {
 }
 
 func TestSelfJoinDegenerate(t *testing.T) {
-	p := SelfJoin([]float64{1, 2}, 5, nil)
+	p := selfJoin(t, []float64{1, 2}, 5, nil, 1)
 	if p.Len() != 0 {
 		t.Fatalf("window > series should yield empty profile, got %d", p.Len())
 	}
@@ -184,7 +206,7 @@ func TestABJoinMatchesNaive(t *testing.T) {
 	a := randomSeries(70, 1)
 	b := randomSeries(90, 2)
 	for _, w := range []int{5, 12} {
-		got := ABJoin(a, b, w, nil, nil)
+		got := abJoin(t, a, b, w, nil, nil, 1)
 		want := naiveABJoin(a, b, w, nil, nil)
 		profilesClose(t, got, want, 1e-6)
 	}
@@ -202,7 +224,7 @@ func TestABJoinMasked(t *testing.T) {
 	for i := range vb {
 		vb[i] = i%4 != 1
 	}
-	got := ABJoin(a, b, w, va, vb)
+	got := abJoin(t, a, b, w, va, vb, 1)
 	want := naiveABJoin(a, b, w, va, vb)
 	profilesClose(t, got, want, 1e-6)
 }
@@ -218,7 +240,7 @@ func TestABJoinSharedPatternHasZeroDistance(t *testing.T) {
 	pattern := []float64{1, 5, 9, 5, 1, -3, -7, -3}
 	copy(a[30:], pattern)
 	copy(b[100:], pattern)
-	p := ABJoin(a, b, len(pattern), nil, nil)
+	p := abJoin(t, a, b, len(pattern), nil, nil, 1)
 	if p.P[30] > 1e-6 {
 		t.Fatalf("shared pattern distance = %v, want ~0", p.P[30])
 	}
@@ -280,7 +302,7 @@ func BenchmarkSelfJoin(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					SelfJoinOpts(series, w, nil, Options{Workers: workers})
+					selfJoin(b, series, w, nil, workers)
 				}
 			})
 		}

@@ -206,16 +206,16 @@ func checkAgainstNaive(t *testing.T, a, b []float64, w int, got, want *Profile, 
 }
 
 // TestSelfJoinPropertyWorkers cross-checks the tiled kernel on ~200 seeded
-// random series: for every case, SelfJoin at Workers ∈ {1,2,3,8} must be
+// random series: for every case, SelfJoinCtx at Workers ∈ {1,2,3,8} must be
 // byte-identical, must match the naive O(N²·w) reference within tolerance
 // (index disagreements only on genuine ties), and must respect the
 // exclusion zone and the validity mask.
 func TestSelfJoinPropertyWorkers(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		pc := genCase(seed)
-		ref := SelfJoinOpts(pc.t, pc.w, pc.valid, Options{Workers: 1})
+		ref := selfJoin(t, pc.t, pc.w, pc.valid, 1)
 		for _, workers := range []int{2, 3, 8} {
-			got := SelfJoinOpts(pc.t, pc.w, pc.valid, Options{Workers: workers})
+			got := selfJoin(t, pc.t, pc.w, pc.valid, workers)
 			requireIdentical(t, got, ref, labelFor("self", seed, pc.w, workers))
 		}
 		want := defSelfJoin(pc.t, pc.w, pc.valid)
@@ -257,9 +257,9 @@ func TestABJoinPropertyWorkers(t *testing.T) {
 				validB[i] = i >= len(cb.valid) || cb.valid[i]
 			}
 		}
-		ref := ABJoinOpts(ca.t, cb.t, w, ca.valid, validB, Options{Workers: 1})
+		ref := abJoin(t, ca.t, cb.t, w, ca.valid, validB, 1)
 		for _, workers := range []int{2, 3, 8} {
-			got := ABJoinOpts(ca.t, cb.t, w, ca.valid, validB, Options{Workers: workers})
+			got := abJoin(t, ca.t, cb.t, w, ca.valid, validB, workers)
 			requireIdentical(t, got, ref, labelFor("ab", seed, w, workers))
 		}
 		want := defABJoin(ca.t, cb.t, w, ca.valid, validB)
@@ -286,7 +286,7 @@ func TestSelfJoinTieBreakLowerIndex(t *testing.T) {
 		copy(tt[at:], pat)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		p := SelfJoinOpts(tt, w, nil, Options{Workers: workers})
+		p := selfJoin(t, tt, w, nil, workers)
 		if p.P[44] > 1e-6 {
 			t.Fatalf("workers=%d: P[44] = %v, want ~0", workers, p.P[44])
 		}

@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -18,8 +19,8 @@ func TestConcurrentJoinsSharedArena(t *testing.T) {
 	series := randomSeries(400, 21)
 	other := randomSeries(300, 22)
 	w := 16
-	selfRef := SelfJoinOpts(series, w, nil, Options{Workers: 1})
-	abRef := ABJoinOpts(series, other, w, nil, nil, Options{Workers: 1})
+	selfRef := selfJoin(t, series, w, nil, 1)
+	abRef := abJoin(t, series, other, w, nil, nil, 1)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -29,14 +30,22 @@ func TestConcurrentJoinsSharedArena(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			workers := 1 + g%4
-			sp := SelfJoinOpts(series, w, nil, Options{Workers: workers})
+			sp, err := SelfJoinCtx(context.Background(), series, w, nil, Options{Workers: workers})
+			if err != nil {
+				errs <- err.Error()
+				return
+			}
 			for i := range sp.P {
 				if math.Float64bits(sp.P[i]) != math.Float64bits(selfRef.P[i]) || sp.I[i] != selfRef.I[i] {
 					errs <- "self-join diverged under concurrency"
 					return
 				}
 			}
-			ab := ABJoinOpts(series, other, w, nil, nil, Options{Workers: workers})
+			ab, err := ABJoinCtx(context.Background(), series, other, w, nil, nil, Options{Workers: workers})
+			if err != nil {
+				errs <- err.Error()
+				return
+			}
 			for i := range ab.P {
 				if math.Float64bits(ab.P[i]) != math.Float64bits(abRef.P[i]) || ab.I[i] != abRef.I[i] {
 					errs <- "ab-join diverged under concurrency"

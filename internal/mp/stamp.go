@@ -12,7 +12,7 @@ import (
 // algorithm: query rows are processed in random order, each via a MASS
 // distance-profile pass, so stopping after a fraction of the rows yields an
 // unbiased approximation.  fraction in (0,1] selects how many rows to
-// process; fraction 1 reproduces the exact profile of SelfJoin.
+// process; fraction 1 reproduces the exact profile of SelfJoinCtx.
 //
 // Contract: whenever the series admits at least one window (n > 0), at
 // least one row is processed — the row count ceil(fraction·n) is clamped to
@@ -78,7 +78,7 @@ func STAMP(t []float64, w int, fraction float64, seed int64) *Profile {
 // matrix diagonals, and one O(N) min pass — instead of recomputing the
 // O(N²) join.
 //
-// The maintained profile is byte-identical to a fresh SelfJoin over the
+// The maintained profile is byte-identical to a fresh SelfJoinCtx over the
 // current series after every append, by construction rather than by
 // tolerance: window statistics advance through the same ts.Rolling state
 // MovingMeanStd walks, every dot product is reached by rolling the same
@@ -111,7 +111,7 @@ type Incremental struct {
 // — the silent-garbage alternative (NaN poisoning every future profile
 // entry it touches) is exactly what the batch path's validation prevents.
 // The initial profile is seeded by replaying the appends, so it is
-// byte-identical to SelfJoin for the same reason every later step is.
+// byte-identical to SelfJoinCtx for the same reason every later step is.
 func NewIncremental(initial []float64, w int) (*Incremental, error) {
 	if w < 1 {
 		return nil, errs.BadInput(errs.StageKernel, "mp.incremental", "", "window must be >= 1 (got %d)", w)
@@ -139,7 +139,7 @@ func NewIncremental(initial []float64, w int) (*Incremental, error) {
 // continue.  Degenerate (constant) trailing windows are not an error: they
 // flow through the same near-zero-std guards as the batch kernel (two
 // constant windows are at distance 0, a constant and a non-constant window
-// at the maximum 2w) and stay byte-identical to SelfJoin.
+// at the maximum 2w) and stay byte-identical to SelfJoinCtx.
 func (inc *Incremental) Append(v float64) error {
 	if !isFinite(v) {
 		return errs.BadInput(errs.StageKernel, "mp.incremental", "", "non-finite value %v appended at index %d", v, len(inc.t))

@@ -12,7 +12,7 @@ import (
 func TestSTAMPFullMatchesSelfJoin(t *testing.T) {
 	series := randomSeries(150, 7)
 	w := 10
-	exact := SelfJoin(series, w, nil)
+	exact := selfJoin(t, series, w, nil, 1)
 	stamp := STAMP(series, w, 1, 1)
 	profilesClose(t, stamp, exact, 1e-6)
 }
@@ -22,7 +22,7 @@ func TestSTAMPPartialUpperBounds(t *testing.T) {
 	// distances (it has seen fewer rows), never underestimate.
 	series := randomSeries(200, 8)
 	w := 12
-	exact := SelfJoin(series, w, nil)
+	exact := selfJoin(t, series, w, nil, 1)
 	partial := STAMP(series, w, 0.3, 2)
 	for j := range exact.P {
 		if math.IsInf(partial.P[j], 1) {
@@ -52,7 +52,7 @@ func TestSTAMPDegenerate(t *testing.T) {
 	// Out-of-range fraction falls back to full.
 	series := randomSeries(60, 9)
 	full := STAMP(series, 8, -1, 3)
-	exact := SelfJoin(series, 8, nil)
+	exact := selfJoin(t, series, 8, nil, 1)
 	profilesClose(t, full, exact, 1e-6)
 }
 
@@ -114,7 +114,7 @@ func profilesEqual(t testing.TB, got, want *Profile, step int) {
 
 // TestIncrementalByteIdentity is the STOMPI contract test: after EVERY
 // append the incremental profile must be byte-identical — bitwise distances
-// and equal neighbour indices — to a full SelfJoin recompute over the
+// and equal neighbour indices — to a full SelfJoinCtx recompute over the
 // current series.  Constant runs exercise the degenerate-window guards on
 // the same footing.
 func TestIncrementalByteIdentity(t *testing.T) {
@@ -135,7 +135,7 @@ func TestIncrementalByteIdentity(t *testing.T) {
 			inc := mustIncremental(t, nil, tc.w)
 			for step, v := range tc.series {
 				mustAppend(t, inc, v)
-				profilesEqual(t, inc.Profile(), SelfJoin(inc.Series(), tc.w, nil), step)
+				profilesEqual(t, inc.Profile(), selfJoin(t, inc.Series(), tc.w, nil, 1), step)
 			}
 		})
 	}
@@ -147,10 +147,10 @@ func TestIncrementalSeedMatchesBatch(t *testing.T) {
 	series := randomSeries(120, 10)
 	w := 9
 	inc := mustIncremental(t, series[:40], w)
-	profilesEqual(t, inc.Profile(), SelfJoin(series[:40], w, nil), 0)
+	profilesEqual(t, inc.Profile(), selfJoin(t, series[:40], w, nil, 1), 0)
 	for k, v := range series[40:] {
 		mustAppend(t, inc, v)
-		profilesEqual(t, inc.Profile(), SelfJoin(series[:41+k], w, nil), k+1)
+		profilesEqual(t, inc.Profile(), selfJoin(t, series[:41+k], w, nil, 1), k+1)
 	}
 	if inc.Len() != len(series) {
 		t.Fatalf("len = %d", inc.Len())
@@ -164,7 +164,7 @@ func TestIncrementalFromEmpty(t *testing.T) {
 	for _, v := range series {
 		mustAppend(t, inc, v)
 	}
-	profilesEqual(t, inc.Profile(), SelfJoin(series, w, nil), len(series))
+	profilesEqual(t, inc.Profile(), selfJoin(t, series, w, nil, 1), len(series))
 }
 
 func TestIncrementalShortSeries(t *testing.T) {
@@ -206,7 +206,7 @@ func TestIncrementalBadInput(t *testing.T) {
 	}
 	// The stream stays usable: further good appends still match the batch.
 	mustAppend(t, inc, 0.25)
-	profilesEqual(t, inc.Profile(), SelfJoin(inc.Series(), w, nil), len(series)+1)
+	profilesEqual(t, inc.Profile(), selfJoin(t, inc.Series(), w, nil, 1), len(series)+1)
 }
 
 // TestIncrementalAppendNoAllocs pins the serving-path contract: after
@@ -232,7 +232,7 @@ func TestIncrementalMotifDiscord(t *testing.T) {
 	series := randomSeries(200, 12)
 	w := 10
 	inc := mustIncremental(t, series, w)
-	want := SelfJoin(series, w, nil)
+	want := selfJoin(t, series, w, nil, 1)
 	wantMin, wantMinD := want.MinIndex()
 	wantMax, _ := want.MaxIndex()
 	if got := inc.MinIndex(); got != wantMin {

@@ -47,8 +47,8 @@ type tile struct{ lo, hi int }
 // equal cell count, so dynamic tile scheduling stays balanced even though
 // early diagonals of a self-join are much longer than late ones.  cells(k)
 // returns the number of matrix cells on diagonal k; tilesPerWorker comes
-// from the calibrated autotuner (see autotune.go) and is purely a
-// scheduling knob — the profile is byte-identical for any value.
+// from the cell-budget rule (see tiles.go) and is purely a scheduling
+// knob — the profile is byte-identical for any value.
 func cutTiles(lo, hi, workers, tilesPerWorker int, cells func(k int) int) []tile {
 	if workers <= 1 {
 		return []tile{{lo, hi}}
@@ -215,19 +215,6 @@ func mergeRange(parts []*partial, prof *Profile, lo, hi int) {
 	}
 }
 
-// SelfJoinOpts is SelfJoinCtx without cancellation (a background context).
-//
-//ips:blocking
-func SelfJoinOpts(t []float64, w int, valid []bool, opt Options) *Profile {
-	p, err := SelfJoinCtx(context.Background(), t, w, valid, opt)
-	if err != nil {
-		// Unreachable: a background context never cancels and the kernel
-		// has no other failure mode; keep the degenerate shape anyway.
-		return &Profile{W: w}
-	}
-	return p
-}
-
 // SelfJoinCtx computes the matrix profile of t with window w under
 // z-normalised Euclidean distance, using a diagonal-tiled STOMP kernel:
 // the strict upper triangle of the distance matrix (offsets k > excl) is
@@ -238,8 +225,9 @@ func SelfJoinOpts(t []float64, w int, valid []bool, opt Options) *Profile {
 //
 // into per-worker partial profiles, which are then min-reduced
 // deterministically (ties on exact distance go to the lower neighbour
-// index).  Subsequences within w/2 of the query are excluded, as are
-// subsequences for which valid is false (nil means all valid).
+// index).  Subsequences within w/2 of the query (the standard exclusion
+// zone, footnote 1 of the paper) are excluded, as are subsequences for
+// which valid is false (nil means all valid).
 //
 // Cancelling ctx stops the join at tile granularity and returns a nil
 // profile with an error matching errs.ErrCanceled; no partial profile
@@ -273,8 +261,7 @@ func SelfJoinCtx(ctx context.Context, t []float64, w int, valid []bool, opt Opti
 	first := ts.SlidingDots(t[:w], t) // first[k] = dot(t[0:w], t[k:k+w])
 
 	workers := clampWorkers(opt.Workers, n-lo)
-	tpw := tuneTilesPerWorker(n, w, workers, diagCells(lo, n))
-	tiles := cutTiles(lo, n, workers, tpw, func(k int) int { return n - k })
+	tiles := cutTiles(lo, n, workers, tilesPerWorker(workers, diagCells(lo, n)), func(k int) int { return n - k })
 	sp.SetInt("workers", int64(workers))
 	sp.SetInt("tiles", int64(len(tiles)))
 	obs.Log(ctx).Debug("stomp self-join", "op", "mp.selfjoin",
@@ -319,19 +306,6 @@ func (wk *selfJoinWalker) walk(pt *partial, tl tile) {
 	}
 }
 
-// ABJoinOpts is ABJoinCtx without cancellation (a background context).
-//
-//ips:blocking
-func ABJoinOpts(a, b []float64, w int, validA, validB []bool, opt Options) *Profile {
-	p, err := ABJoinCtx(context.Background(), a, b, w, validA, validB, opt)
-	if err != nil {
-		// Unreachable: a background context never cancels and the kernel
-		// has no other failure mode; keep the degenerate shape anyway.
-		return &Profile{W: w}
-	}
-	return p
-}
-
 // ABJoinCtx computes, for every length-w subsequence of a, its
 // nearest-neighbour z-normalised distance among the subsequences of b (the
 // paper's P_AB), with the same diagonal-tiled kernel as SelfJoinCtx: the
@@ -369,8 +343,7 @@ func ABJoinCtx(ctx context.Context, a, b []float64, w int, validA, validB []bool
 	}
 	workers := clampWorkers(opt.Workers, nd)
 	// Every cross-matrix cell lies on exactly one diagonal: na·nb total.
-	tpw := tuneTilesPerWorker(na+nb, w, workers, na*nb)
-	tiles := cutTiles(0, nd, workers, tpw, wk.diagLen)
+	tiles := cutTiles(0, nd, workers, tilesPerWorker(workers, na*nb), wk.diagLen)
 	sp.SetInt("workers", int64(workers))
 	sp.SetInt("tiles", int64(len(tiles)))
 	obs.Log(ctx).Debug("stomp ab-join", "op", "mp.abjoin",

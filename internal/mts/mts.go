@@ -160,7 +160,7 @@ func (m *Model) embed(ctx context.Context, d *Dataset) ([][]float64, error) {
 		if len(sh) == 0 {
 			continue
 		}
-		X, err := classify.TransformCtx(ctx, d.Channel(c), sh, 0, nil, nil)
+		X, err := classify.TransformWith(ctx, d.Channel(c), sh, classify.TransformConfig{})
 		if err != nil {
 			return nil, errs.Wrap(errs.StageTransform, "mts.embed", d.Name, err)
 		}

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"ips/internal/classify"
 	"ips/internal/core"
 	"ips/internal/dabf"
 	"ips/internal/faulty"
@@ -58,8 +57,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	s, hs := testServer(t, Config{WorkersPerModel: 2})
 
 	body, sub := evalBody(t, train, 2)
-	f1 := classify.Transform(sub, m1.Shapelets)
-	f2 := classify.Transform(sub, m2.Shapelets)
+	f1 := refTransform(t, sub, m1.Shapelets)
+	f2 := refTransform(t, sub, m2.Shapelets)
 
 	// Swapper: keep alternating m2/m1 registrations while readers hammer.
 	// Odd versions are m1 (the initial registration is version 1), even m2.

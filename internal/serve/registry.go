@@ -102,7 +102,6 @@ func (s *Server) Register(ctx context.Context, name, source string, m *core.Mode
 		queries[i] = sh.Values
 	}
 	batch := dist.NewBatch(queries)
-	batch.SetKernel(s.cfg.Kernel)
 	batch.SetPrecision(s.cfg.Precision)
 	v := &version{id: sl.lastID.Add(1), source: source, model: m, batch: batch}
 	sl.cur.Store(v)

@@ -58,11 +58,6 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies (default 16 MiB); larger bodies
 	// get a typed 413.
 	MaxBodyBytes int64
-	// Kernel forces the distance kernel for every model's batch evaluation
-	// (default auto; kernel choice never changes float64 results).  Request
-	// series are scratch-prepared per batch, which always resolves to the
-	// rolling kernel — the knob exists for parity with the CLIs.
-	Kernel dist.Kernel
 	// MaxStreams caps concurrently open streaming sessions (default 1024).
 	// A create that would exceed it is refused with a typed 429.
 	MaxStreams int

@@ -91,6 +91,17 @@ func evalBody(t *testing.T, d *ts.Dataset, n int) ([]byte, *ts.Dataset) {
 	return buf, sub
 }
 
+// refTransform is the offline shapelet transform a served response must
+// match bit for bit.
+func refTransform(t *testing.T, d *ts.Dataset, shapelets []classify.Shapelet) [][]float64 {
+	t.Helper()
+	X, err := classify.TransformWith(context.Background(), d, shapelets, classify.TransformConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return X
+}
+
 func postJSON(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
@@ -139,7 +150,7 @@ func TestTransformRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, out)
 	}
-	want := classify.Transform(sub, m.Shapelets)
+	want := refTransform(t, sub, m.Shapelets)
 	golden, _ := json.Marshal(transformResponse{Model: "planted", Version: 1, Features: want})
 	golden = append(golden, '\n')
 	if !bytes.Equal(out, golden) {

@@ -221,7 +221,6 @@ func (s *Server) streamCreate(ctx context.Context, w http.ResponseWriter, r *htt
 		Shapelets: v.model.Shapelets,
 		Scaler:    v.model.Scaler,
 		SVM:       v.model.SVM,
-		Kernel:    s.cfg.Kernel,
 		MaxPoints: s.cfg.MaxStreamPoints,
 	})
 	if err != nil {

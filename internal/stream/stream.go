@@ -1,6 +1,6 @@
 // Package stream maintains online per-series state for streaming
 // classification: an incremental matrix profile (STOMPI, byte-identical to
-// a batch SelfJoin at every step), a shapelet-transform feature vector kept
+// a batch SelfJoinCtx at every step), a shapelet-transform feature vector kept
 // current by delta-evaluation (only windows touching newly appended points
 // are re-scored), and drift detection over the profile's nearest-neighbour
 // distances.
@@ -12,7 +12,7 @@
 // contains every new window and min-folding the result into the running
 // feature vector is bitwise identical to re-evaluating the whole series.
 // The equivalence suite pins stream output byte-identical to the batch
-// classify.TransformCtx on the accumulated series.
+// classify.TransformWith on the accumulated series.
 //
 // A Stream is not safe for concurrent use; callers (e.g. the serving
 // layer's session table) serialise Appends.
@@ -43,7 +43,11 @@ type DriftConfig struct {
 	MinSamples int
 }
 
-// Config configures a Stream.
+// Config configures a Stream.  A Stream always evaluates in float64 on the
+// engine's per-length kernel choice: delta-evaluation's exactness needs
+// per-window values that are pure functions of window contents, which the
+// float32 variant's rolling accumulation does not guarantee across
+// different evaluation extents.
 type Config struct {
 	// Window is the matrix-profile window length (required, >= 1).
 	Window int
@@ -54,12 +58,6 @@ type Config struct {
 	// the stream still maintains features but returns no predictions.
 	Scaler *classify.Scaler
 	SVM    *classify.SVM
-	// Kernel forces the distance kernel (KernelAuto selects per length).
-	// The streaming path always evaluates in float64: delta-evaluation's
-	// exactness needs per-window values that are pure functions of window
-	// contents, which the float32 variant's rolling accumulation does not
-	// guarantee across different evaluation extents.
-	Kernel dist.Kernel
 	// MaxPoints caps the total ingested points (0 = unbounded).  An append
 	// that would exceed it is refused whole as typed errs.ErrOverload
 	// before any state changes.
@@ -143,7 +141,6 @@ func New(cfg Config) (*Stream, error) {
 			}
 		}
 		s.batch = dist.NewBatch(queries)
-		s.batch.SetKernel(cfg.Kernel)
 		s.feat = make([]float64, n)
 		s.row = make([]float64, n)
 		s.scaled = make([]float64, n)

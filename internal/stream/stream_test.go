@@ -41,22 +41,22 @@ func randSeries(n int, seed int64) []float64 {
 	return out
 }
 
-// batchFeatures computes the reference feature row: classify.TransformCtx
+// batchFeatures computes the reference feature row: classify.TransformWith
 // over the series as a one-instance dataset.
 func batchFeatures(t *testing.T, series []float64, shapelets []classify.Shapelet, workers int) []float64 {
 	t.Helper()
 	d := &ts.Dataset{Name: "stream-test", Instances: []ts.Instance{{Values: series, Label: 0}}}
-	X, err := classify.TransformCtx(context.Background(), d, shapelets, workers, nil, nil)
+	X, err := classify.TransformWith(context.Background(), d, shapelets, classify.TransformConfig{Workers: workers})
 	if err != nil {
-		t.Fatalf("TransformCtx: %v", err)
+		t.Fatalf("TransformWith: %v", err)
 	}
 	return X[0]
 }
 
 // TestStreamFeatureEquivalence is the tentpole contract: after every
 // append, the delta-evaluated feature vector is byte-identical to the
-// batch classify.TransformCtx on the full accumulated series, for every
-// worker count, and the maintained profile is byte-identical to SelfJoin.
+// batch classify.TransformWith on the full accumulated series, for every
+// worker count, and the maintained profile is byte-identical to SelfJoinCtx.
 func TestStreamFeatureEquivalence(t *testing.T) {
 	lc := faulty.NewLeakCheck()
 	shapelets := testShapelets(1)
@@ -88,7 +88,10 @@ func TestStreamFeatureEquivalence(t *testing.T) {
 			}
 		}
 		gotP := s.Profile()
-		wantP := mp.SelfJoin(prefix, 8, nil)
+		wantP, err := mp.SelfJoinCtx(context.Background(), prefix, 8, nil, mp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j := range wantP.P {
 			if math.Float64bits(gotP.P[j]) != math.Float64bits(wantP.P[j]) || gotP.I[j] != wantP.I[j] {
 				t.Fatalf("n=%d: profile[%d] = (%v,%d) != (%v,%d)",

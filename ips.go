@@ -167,8 +167,9 @@ func Evaluate(ctx context.Context, train, test *Dataset, opt Options) (float64, 
 }
 
 // Transform embeds every instance into shapelet-distance space (Def. 7).
-func Transform(d *Dataset, shapelets []Shapelet) [][]float64 {
-	return classify.Transform(d, shapelets)
+// Cancelling ctx returns an error matching ErrCanceled.
+func Transform(ctx context.Context, d *Dataset, shapelets []Shapelet) ([][]float64, error) {
+	return classify.TransformWith(ctx, d, shapelets, classify.TransformConfig{})
 }
 
 // LoadTSV reads a dataset in the UCR archive TSV format.

@@ -54,7 +54,10 @@ func TestEndToEndPublicAPI(t *testing.T) {
 		t.Fatalf("accuracy = %v%%", acc)
 	}
 	// Transform through the public API.
-	X := Transform(test, model.Shapelets)
+	X, err := Transform(context.Background(), test, model.Shapelets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(X) != test.Len() || len(X[0]) != len(model.Shapelets) {
 		t.Fatalf("transform shape = %dx%d", len(X), len(X[0]))
 	}
