@@ -12,8 +12,9 @@ import (
 // BenchmarkTransform measures the shapelet transform over an
 // (instances × shapelet length) grid, on the batched engine and on the
 // naive per-pair ts.Dist loop it replaced.  Single worker throughout: the
-// engine/naive ratio is the algorithmic speedup (shared sliding statistics,
-// norm-bound pruning, fft crossover), uninflated by parallelism.
+// engine/naive ratio is the algorithmic speedup (register-blocked sliding
+// dot products with one exact refinement, fft crossover), uninflated by
+// parallelism.
 func BenchmarkTransform(b *testing.B) {
 	datasets := []struct {
 		name    string

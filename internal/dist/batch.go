@@ -13,11 +13,11 @@ import (
 
 // Batch is a set of queries prepared for evaluation against many series:
 // per-query energies are precomputed and the queries are grouped by length,
-// so per (series, length) work — the window Σt² vector from the prefix sums
-// and the padded series FFT — is paid once per group instead of once per
-// query.  A Batch is immutable after construction and safe for concurrent
-// EvalScratchCtx calls (one Scratch per goroutine) against different (or
-// the same) Prepared series.
+// so per (series, length) work — the kernel choice and the padded series FFT
+// lookup — is paid once per group instead of once per query.  A Batch is
+// immutable after construction and safe for concurrent EvalScratchCtx calls
+// (one Scratch per goroutine) against different (or the same) Prepared
+// series.
 type Batch struct {
 	queries [][]float64
 	qq      []float64
@@ -113,17 +113,17 @@ func (b *Batch) Precision() Precision { return b.precision }
 // EvalScratchCtx evaluates every query against p into out (which must hold
 // Len() values), each byte-identical at float64 precision to
 // ts.Dist(query, series), accumulating kernel accounting into c (nil is
-// allowed).  Queries are processed grouped by length: the window Σt² vector
-// is built once per group from the prefix sums, and the fft kernel reuses
-// one cached padded series transform across every group whose pad size
-// coincides.
+// allowed).  Queries are processed grouped by length: the kernel is chosen
+// once per group, and the fft kernel reuses one cached padded series
+// transform across every group whose pad size coincides.
 //
 // The working set comes from a caller-owned Scratch (nil means a fresh one
-// per call): the window-energy vector, the fft buffers, and (for float32
-// batches) their single-precision counterparts all grow once inside s and
-// are reused verbatim on the next call.  Callers that re-evaluate the same
-// batch against a stream of series — the serve loop, CV folds — perform
-// zero allocations after warm-up.  s must not be shared across goroutines.
+// per call): the sliding-dots buffer, the fft complex buffer, and (for
+// float32 batches) their single-precision counterparts all grow once inside
+// s and are reused verbatim on the next call.  Callers that re-evaluate the
+// same batch against a stream of series — the serve loop, CV folds —
+// perform zero allocations after warm-up.  s must not be shared across
+// goroutines.
 //
 // Cancellation is cooperative at length-group granularity: between groups
 // the context is checked, and once it is done the remaining groups are
@@ -161,66 +161,19 @@ func (b *Batch) EvalScratchCtx(ctx context.Context, p *Prepared, out []float64, 
 			}
 			continue
 		}
-		w := n - m + 1
-		if b.precision == PrecisionFloat32 && b.evalGroup32(p, g, w, out, c, s) {
+		if b.precision == PrecisionFloat32 && b.evalGroup32(p, g, n-m+1, out, c, s) {
 			continue
-		}
-		if cap(s.winSq) < w {
-			s.winSq = make([]float64, w)
-		}
-		winSq := s.winSq[:w]
-		for j := 0; j < w; j++ {
-			winSq[j] = p.WindowSqSum(j, m)
 		}
 		kernel := b.kernel
 		if kernel == KernelAuto {
 			kernel = chooseKernel(m, n)
 		}
-		if p.noFFT {
-			kernel = KernelRolling // scratch-prepared: no resident transform to amortise
-		}
-		if kernel == KernelFFT {
-			size := fft.NextPow2(n + m - 1)
-			f, hit := p.ft(size)
-			if f == nil {
-				kernel = KernelRolling // impossible by construction
-			} else {
-				if hit {
-					c.FFTCacheHits++
-				} else {
-					c.FFTCacheMisses++
-				}
-				if cap(s.dots) < w {
-					s.dots = make([]float64, w)
-				}
-				dots := s.dots[:w]
-				for _, qi := range g.idx {
-					if !b.finite[qi] {
-						out[qi] = ts.Dist(b.queries[qi], p.t)
-						c.Exact++
-						continue
-					}
-					var err error
-					s.cbuf, err = f.SlidingDotsInto(b.queries[qi], dots, s.cbuf)
-					if err != nil {
-						out[qi] = ts.Dist(b.queries[qi], p.t)
-						c.Exact++
-						continue
-					}
-					c.FFT++
-					out[qi] = b.fftMinShared(p, qi, winSq, dots, c)
-				}
-				continue
-			}
+		var f *fft.FT
+		if kernel == KernelFFT && !p.noFFT { // scratch-prepared: no resident transform to amortise
+			f = p.ft(fft.NextPow2(n+m-1), c)
 		}
 		for _, qi := range g.idx {
-			if !b.finite[qi] {
-				out[qi] = ts.Dist(b.queries[qi], p.t)
-				c.Exact++
-				continue
-			}
-			c.Rolling++
-			out[qi] = b.rollingMinShared(p, qi, winSq, c)
+			out[qi] = b.eval64(p, qi, f, s, c)
 		}
 	}
 	return nil
@@ -274,13 +227,13 @@ func (b *Batch) evalGroup32(p *Prepared, g group, w int, out []float64, c *Count
 			dots32 := s.dots32[:w]
 			for _, qi := range g.idx {
 				if !b.finite32[qi] {
-					b.eval64Fallback(p, qi, out, c)
+					out[qi] = b.eval64(p, qi, nil, s, c)
 					continue
 				}
 				var err error
 				s.cbuf32, err = f.SlidingDotsInto32(b.q32[qi], dots32, s.cbuf32)
 				if err != nil {
-					b.eval64Fallback(p, qi, out, c)
+					out[qi] = b.eval64(p, qi, nil, s, c)
 					continue
 				}
 				c.FFT32++
@@ -291,7 +244,7 @@ func (b *Batch) evalGroup32(p *Prepared, g group, w int, out []float64, c *Count
 	}
 	for _, qi := range g.idx {
 		if !b.finite32[qi] {
-			b.eval64Fallback(p, qi, out, c)
+			out[qi] = b.eval64(p, qi, nil, s, c)
 			continue
 		}
 		c.Rolling32++
@@ -300,17 +253,25 @@ func (b *Batch) evalGroup32(p *Prepared, g group, w int, out []float64, c *Count
 	return true
 }
 
-// eval64Fallback evaluates one query on the float64 side — the escape hatch
-// for queries a float32 batch cannot represent.  Exact for non-finite data,
-// the min-only rolling kernel otherwise.
-func (b *Batch) eval64Fallback(p *Prepared, qi int, out []float64, c *Counts) {
+// eval64 evaluates query qi on the float64 kernels: ts.Dist for a
+// non-finite query, otherwise its sliding dots (through the padded transform
+// f when one is given, directly otherwise) refined exactly by profileMin.
+// It is also the escape hatch for queries a float32 batch cannot represent.
+//
+//ips:hotpath
+func (b *Batch) eval64(p *Prepared, qi int, f *fft.FT, s *Scratch, c *Counts) float64 {
+	q := b.queries[qi]
 	if !b.finite[qi] {
-		out[qi] = ts.Dist(b.queries[qi], p.t)
 		c.Exact++
-		return
+		return ts.Dist(q, p.t)
 	}
-	c.Rolling++
-	out[qi] = p.rollingMin(b.queries[qi], b.qq[qi], c)
+	w := len(p.t) - len(q) + 1
+	if cap(s.dots) < w {
+		s.dots = make([]float64, w)
+	}
+	dots := s.dots[:w]
+	s.cbuf = p.slidingDots(q, dots, f, s.cbuf, c)
+	return p.profileMin(q, b.qq[qi], dots, c)
 }
 
 // logCanceled and logExactFallback exist to keep their variadic ...any
@@ -326,27 +287,6 @@ func (b *Batch) logExactFallback(ctx context.Context, m, n int, finite bool, que
 	obs.Log(ctx).Debug("batch group fell back to exact distances",
 		"op", "dist.batch", "query_len", m, "series_len", n,
 		"finite", finite, "queries", queries)
-}
-
-// fftMinShared converts the sliding dots of query qi into the approximate
-// un-normalised profile in place and refines the candidate minima exactly.
-// This is the batch engine's per-query inner loop; it must not allocate.
-//
-//ips:hotpath
-func (b *Batch) fftMinShared(p *Prepared, qi int, winSq, dots []float64, c *Counts) float64 {
-	qq := b.qq[qi]
-	minHat := math.Inf(1)
-	for j := range dots {
-		sHat := winSq[j] - 2*dots[j] + qq
-		if sHat < 0 {
-			sHat = 0
-		}
-		dots[j] = sHat
-		if sHat < minHat {
-			minHat = sHat
-		}
-	}
-	return p.refineMin(b.queries[qi], dots, minHat, qq, c)
 }
 
 // rollingMin32 is the single-precision rolling kernel: a direct
@@ -424,47 +364,6 @@ func (b *Batch) fftMin32(t32 []float32, tt32 float32, qi int, winSq32, dots32 []
 		}
 		if v := sum / fm; v < best {
 			best = v
-		}
-	}
-	return best
-}
-
-// rollingMinShared is rollingMin with the per-group window Σt² vector
-// already materialised (shared across every query of the length group).
-// This is the batch engine's per-query inner loop; it must not allocate.
-//
-//ips:hotpath
-func (b *Batch) rollingMinShared(p *Prepared, qi int, winSq []float64, c *Counts) float64 {
-	q := b.queries[qi]
-	qq := b.qq[qi]
-	m := len(q)
-	fm := float64(m)
-	bound := p.errBound(qq)
-	margin := 2*math.Sqrt(qq*bound) + bound
-	best := math.Inf(1)
-	lbT := math.Inf(1)
-	for j, ws := range winSq {
-		if a := ws + qq - lbT; a > 0 && a*a > 4*ws*qq {
-			c.LBSkipped++
-			continue
-		}
-		var s float64
-		win := p.t[j : j+m]
-		abandoned := false
-		for l := range q {
-			diff := win[l] - q[l]
-			s += diff * diff
-			if s >= best*fm {
-				abandoned = true
-				break
-			}
-		}
-		if abandoned {
-			continue
-		}
-		if v := s / fm; v < best {
-			best = v
-			lbT = s + margin
 		}
 	}
 	return best

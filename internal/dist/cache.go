@@ -17,10 +17,8 @@ type Counts struct {
 	// Rolling32 and FFT32 count evaluations on the single-precision kernel
 	// variants (see Precision).
 	Rolling32, FFT32 int64
-	// LBSkipped counts windows the rolling kernel's norm lower bound
-	// excluded without touching their values.
-	LBSkipped int64
-	// Refined counts windows the fft kernel recomputed exactly.
+	// Refined counts windows either kernel re-summed exactly (see
+	// Prepared.profileMin).
 	Refined int64
 	// FFTCacheHits/Misses count padded-series-transform cache lookups.
 	FFTCacheHits, FFTCacheMisses int64
@@ -35,7 +33,6 @@ func (c *Counts) Merge(other Counts) {
 	c.Exact += other.Exact
 	c.Rolling32 += other.Rolling32
 	c.FFT32 += other.FFT32
-	c.LBSkipped += other.LBSkipped
 	c.Refined += other.Refined
 	c.FFTCacheHits += other.FFTCacheHits
 	c.FFTCacheMisses += other.FFTCacheMisses
@@ -54,8 +51,7 @@ func (c *Counts) AddTo(m *obs.Registry) {
 	m.Counter("dist.kernel.exact").Add(c.Exact)
 	m.Counter("dist.kernel.rolling32").Add(c.Rolling32)
 	m.Counter("dist.kernel.fft32").Add(c.FFT32)
-	m.Counter("dist.rolling.lb_skipped").Add(c.LBSkipped)
-	m.Counter("dist.fft.refined_windows").Add(c.Refined)
+	m.Counter("dist.refined_windows").Add(c.Refined)
 	m.Counter("dist.fft.cache.hits").Add(c.FFTCacheHits)
 	m.Counter("dist.fft.cache.misses").Add(c.FFTCacheMisses)
 	m.Counter("dist.prepared.cache.hits").Add(c.PreparedHits)

@@ -4,24 +4,24 @@
 // ts.Dist loop recomputes window statistics from scratch for every pair.
 // This package precomputes a per-series prepared form once — prefix sums of
 // t and t² — shares it across every query against that series, and picks a
-// kernel per query length:
+// kernel per query length.  The kernels differ only in how they compute the
+// sliding dot products Σ_l q[l]·t[j+l] of a query against every window:
 //
-//   - rolling: the window Σt² comes from the prefix sums in O(1), the
-//     norm lower bound (√Σt² − √Σq²)² skips hopeless windows without
-//     touching their values, and surviving windows run the exact
-//     early-abandoning scan of ts.Dist;
-//   - fft: sliding dot products via a cached padded FFT of the series
-//     (internal/fft.FT) in O(n log n) per query, then the handful of
-//     windows within floating-point error of the profile minimum are
-//     recomputed exactly.
+//   - rolling: directly, in register blocks of several consecutive windows
+//     with one independent accumulator each — exactly (n−m+1)·m
+//     multiply-adds on any data;
+//   - fft: through a cached padded FFT of the series (internal/fft.FT) in
+//     O(n log n) per query.
 //
-// Both kernels return values byte-identical to ts.Dist for the same pair:
-// the rolling kernel replays ts.Dist's scan on every window the lower bound
-// cannot exclude, and the fft kernel's candidate refinement recomputes the
-// winning alignment with the same left-to-right summation (the conservative
-// error bound guarantees the true minimiser is among the candidates).  This
-// makes the engine a drop-in replacement under golden tests and saved
-// models; kernel choice is a pure throughput knob.
+// Both then go through one exact step (Prepared.profileMin): the
+// approximate un-normalised profile Σw² − 2·q·w + Σq² (the MASS
+// formulation, applied to the non-normalised Euclidean profile), followed by
+// an exact re-summation, with ts.Dist's left-to-right summation, of every
+// window within floating-point error of the profile minimum.  The
+// conservative error bound guarantees the true minimiser is among the
+// re-summed windows, so both kernels return values byte-identical to ts.Dist
+// for the same pair.  This makes the engine a drop-in replacement under
+// golden tests and saved models; kernel choice is a pure throughput knob.
 package dist
 
 import (
@@ -39,9 +39,11 @@ type Kernel uint8
 const (
 	// KernelAuto lets the engine choose per query length (the default).
 	KernelAuto Kernel = iota
-	// KernelRolling is the prefix-sum + norm-bound + early-abandon scan.
+	// KernelRolling computes the sliding dot products directly, in register
+	// blocks, then refines the profile minimum exactly.
 	KernelRolling
-	// KernelFFT is the cached-FFT profile with exact candidate refinement.
+	// KernelFFT computes the sliding dot products through the cached padded
+	// series transform, then refines the profile minimum exactly.
 	KernelFFT
 	// KernelExact is the plain ts.Dist fallback used for degenerate inputs
 	// (non-finite values, empty or over-long queries).  It cannot be forced.
@@ -62,28 +64,40 @@ func (k Kernel) String() string {
 	}
 }
 
-// fftMinQueryLen is the shortest query the fft kernel is considered for:
-// below it the padded transforms cannot beat the rolling scan at any series
-// length.
+// fftMinQueryLen is the shortest query the fft kernel is considered for.  In
+// BenchmarkKernels the fft kernel is 4–14× slower than the rolling kernel at
+// every m ≤ 64, and the cost model alone keeps every such shape rolling
+// except the degenerate one-point transform (n = m = 1, where N·log₂N is 0);
+// the floor keeps that one off the fft kernel too.
 const fftMinQueryLen = 64
 
 // fftCostFactor scales the fft kernel's N·log₂N cost model against the
-// rolling kernel's (n−m+1)·m when choosing a kernel.  Calibrated with the
-// internal/dist benchmarks (see BenchmarkKernels): the complex butterflies
-// of the two per-query transforms cost roughly this many times a rolling
-// multiply-add, after the early-abandon savings of the rolling scan are
-// priced in.  Measured on the benchmark grid: at (n=4096, m=1024) fft wins
-// 2.7× and the model picks it; at (n=4096, m=256) and (n=1024, m=256)
-// rolling wins 1.5–1.9× and the model correctly stays rolling (a factor of
-// 8 mispredicted both of the latter cells).
+// rolling kernel's (n−m+1)·m when choosing a kernel.  The rolling kernel does
+// exactly (n−m+1)·m multiply-adds on any data, so both sides of the model
+// depend on the shape alone.  Fitted with BenchmarkKernels (walk and znorm
+// grids): in every cell with m ≥ 64 and more than one window, the fft
+// kernel's time per N·log₂N is 13–21 times the rolling kernel's time per
+// multiply-add (median 16), and any factor from 13.4 to 23.9 sends every cell
+// to its faster kernel.  fft wins 1.5–2.2× at (n=2709, m ≥ 541) and
+// (n=4096, m=1024); rolling wins 1.4–1.7× at (n=2709, m=270), (n=1024,
+// m=512), (n=1024, m=256) and (n=4096, m=256).
+//
+// No pruned path is kept beside the rolling kernel: a norm-lower-bound-pruned
+// early-abandoning scan beats it only where it skips most of the work — the
+// walk grid's random-walk queries at m ≤ 64 (1.2–1.9×) and at (n=4096,
+// m=256) (1.1×), and single-window shapes (m = n, 1.4–1.5×), where the
+// rolling kernel sums the one window twice.  On the znorm grid the two are
+// level at m ≈ 0.05·n (0.96–1.11), and at every m ≥ 0.1·n, the shapes of
+// every length ratio the pipeline and the baselines use, the rolling kernel
+// takes 0.38–1.03 of the pruned scan's time.
 const fftCostFactor = 14.0
 
-// distEps scales the conservative floating-point error bound used by both
-// the norm-lower-bound pruning and the fft candidate refinement.  The true
-// accumulated error of the prefix sums and the FFT is below n·ε ≈ 1e-12 of
-// the total energy for any series this repository handles; 1e-9 leaves three
-// orders of magnitude of margin, and a too-large bound only costs a few
-// extra exactly-recomputed windows, never correctness.
+// distEps scales the conservative floating-point error bound of the exact
+// refinement both kernels share (see profileMin).  The true accumulated error
+// of the prefix sums, the direct dot products and the FFT is below n·ε ≈
+// 1e-12 of the total energy for any series this repository handles; 1e-9
+// leaves three orders of magnitude of margin, and a too-large bound only
+// costs a few extra exactly-recomputed windows, never correctness.
 const distEps = 1e-9
 
 // KernelFor returns the kernel the engine would choose for a length-m query
@@ -185,30 +199,34 @@ func (p *Prepared) WindowSqSum(j, m int) float64 {
 }
 
 // errBound returns the absolute error margin for un-normalised squared
-// distances of a query with energy qq against this series: any value the
-// rolling statistics or the FFT produce is within this bound of the exact
+// distances of a query with energy qq against this series: any approximate
+// profile value either kernel produces is within this bound of the exact
 // left-to-right sum.
 func (p *Prepared) errBound(qq float64) float64 {
 	return distEps * (p.prefixSq[len(p.t)] + qq)
 }
 
 // ft returns the cached padded transform of the series for the given size,
-// building it on first use.  The second result reports a cache hit.
-func (p *Prepared) ft(size int) (*fft.FT, bool) {
+// building it on first use, and counts the cache lookup into c.  nil means
+// no transform could be built (impossible by construction); callers then
+// compute the dots directly.
+func (p *Prepared) ft(size int, c *Counts) *fft.FT {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if f := p.fts[size]; f != nil {
-		return f, true
+		c.FFTCacheHits++
+		return f
 	}
 	f, err := fft.NewFT(p.t, size)
 	if err != nil {
-		return nil, false // impossible by construction; callers fall back
+		return nil
 	}
+	c.FFTCacheMisses++
 	if p.fts == nil {
 		p.fts = map[int]*fft.FT{}
 	}
 	p.fts[size] = f
-	return f, false
+	return f
 }
 
 // f32 returns the float32 view of the series — the rounded values and their
@@ -264,14 +282,13 @@ func (p *Prepared) ft32(size int) (*fft.FT32, bool) {
 }
 
 // Dist returns the Def. 4 distance of q against the prepared series,
-// byte-identical to ts.Dist(q, series).  Single queries keep an
-// early-abandoning min-only path: the rolling kernel never materialises a
-// profile.
+// byte-identical to ts.Dist(q, series).
 func (p *Prepared) Dist(q []float64) float64 {
 	return p.DistCounted(q, nil)
 }
 
 // DistCounted is Dist with kernel-choice accounting into c (nil is allowed).
+// It runs the batch engine's per-query path on a profile allocated per call.
 func (p *Prepared) DistCounted(q []float64, c *Counts) float64 {
 	if c == nil {
 		c = &Counts{}
@@ -281,120 +298,112 @@ func (p *Prepared) DistCounted(q []float64, c *Counts) float64 {
 		c.Exact++
 		return 0 // ts.Dist: an empty (shorter) side is at distance 0
 	}
-	if m > n || !p.finite {
-		c.Exact++
-		return ts.Dist(q, p.t)
-	}
 	qq := sumSq(q)
-	if math.IsNaN(qq) || math.IsInf(qq, 0) {
+	if m > n || !p.finite || !finiteTotal(qq) {
 		c.Exact++
 		return ts.Dist(q, p.t)
 	}
+	var f *fft.FT
 	if !p.noFFT && chooseKernel(m, n) == KernelFFT {
-		if d, ok := p.fftMin(q, qq, c); ok {
-			return d
-		}
-		c.Exact++
-		return ts.Dist(q, p.t)
+		f = p.ft(fft.NextPow2(n+m-1), c)
 	}
-	c.Rolling++
-	return p.rollingMin(q, qq, c)
+	dots := make([]float64, n-m+1)
+	p.slidingDots(q, dots, f, nil, c)
+	return p.profileMin(q, qq, dots, c)
 }
 
-// rollingMin is the min-only rolling kernel: per window, the norm lower
-// bound (√Σt² − √Σq²)² ≤ Σ(t−q)² is evaluated in O(1) from the prefix sums,
-// and only windows it cannot exclude run ts.Dist's exact early-abandoning
-// scan.  Pruned windows provably cannot improve the running best, so the
-// result is byte-identical to ts.Dist.
+// slidingDots writes Σ_l q[l]·t[j+l] for every window j of the series into
+// dots (one value per window): through the padded series transform f when
+// one is given, directly otherwise.  It counts the kernel that produced them
+// and returns the (possibly grown) complex scratch buffer of the fft kernel.
 //
-// The bound test runs in the squared domain — lb > T ⟺ Σt²+Σq²−T >
-// 2√(Σt²·Σq²), squared — so the hot loop carries no sqrt.  The margin on T
-// is 2√(Σq²·errBound)+errBound, not errBound alone: the √-form of the bound
-// amplifies the prefix-difference error of a near-zero-energy window by the
-// query magnitude, and the wider margin provably covers that worst case.
-func (p *Prepared) rollingMin(q []float64, qq float64, c *Counts) float64 {
-	m := len(q)
-	fm := float64(m)
-	w := len(p.t) - m + 1
-	bound := p.errBound(qq)
-	margin := 2*math.Sqrt(qq*bound) + bound
-	best := math.Inf(1)
-	lbT := math.Inf(1) // best un-normalised sum + safety margin
-	for j := 0; j < w; j++ {
-		ws := p.WindowSqSum(j, m)
-		if a := ws + qq - lbT; a > 0 && a*a > 4*ws*qq {
-			c.LBSkipped++
-			continue
-		}
-		var s float64
-		win := p.t[j : j+m]
-		abandoned := false
-		for l := range q {
-			diff := win[l] - q[l]
-			s += diff * diff
-			if s >= best*fm {
-				abandoned = true
-				break
-			}
-		}
-		if abandoned {
-			continue
-		}
-		if v := s / fm; v < best {
-			best = v
-			lbT = s + margin
+//ips:hotpath
+func (p *Prepared) slidingDots(q, dots []float64, f *fft.FT, cbuf []complex128, c *Counts) []complex128 {
+	if f != nil {
+		var err error
+		if cbuf, err = f.SlidingDotsInto(q, dots, cbuf); err == nil {
+			c.FFT++
+			return cbuf
 		}
 	}
-	return best
+	directDots(q, p.t, dots)
+	c.Rolling++
+	return cbuf
 }
 
-// fftMin is the min-only fft kernel: sliding dots from the cached padded
-// transform, the approximate profile ŝ_j = Σt² − 2Σtq + Σq², and an exact
-// naive recomputation of every window within the error bound of the
-// approximate minimum.  The bound guarantees the exact minimiser is among
-// the candidates, so the returned minimum matches ts.Dist.
-func (p *Prepared) fftMin(q []float64, qq float64, c *Counts) (float64, bool) {
-	m, n := len(q), len(p.t)
-	w := n - m + 1
-	size := fft.NextPow2(n + m - 1)
-	f, hit := p.ft(size)
-	if f == nil {
-		return 0, false
+// directDots is the rolling kernel: dots[j] = Σ_l q[l]·t[j+l] for every
+// window j < len(dots), in blocks of four consecutive windows.  A block keeps
+// four independent accumulators, so its multiply-adds overlap instead of
+// waiting on one dependent add chain, and each q[l] is loaded once per block.
+// Eight accumulators do not fit: the amd64 register allocator spills two of
+// them to the stack, and that block ran about 15% slower per multiply-add
+// than this one (six measured level with four).
+//
+// The dots are approximate by design; profileMin makes the result exact.  An
+// m-term dot product is within m·u·Σ|q[l]·t[j+l]| ≤ m·u·(Σt²+Σq²)/2 of the
+// exact value (u = 2⁻⁵³, the unit round-off), so its share of a profile value
+// is within m·u·(Σt²+Σq²): at most 1e-13·(Σt²+Σq²) for m ≤ 900, 10⁴× inside
+// distEps, and at most 1.1e-11·(Σt²+Σq²) — still 90× inside — for any query
+// under 10⁵ points.
+//
+//ips:hotpath
+func directDots(q, t, dots []float64) {
+	m := len(q)
+	w := len(dots)
+	j := 0
+	for ; j+4 <= w; j += 4 {
+		t0 := t[j : j+m]
+		t1 := t[j+1 : j+1+m]
+		t2 := t[j+2 : j+2+m]
+		t3 := t[j+3 : j+3+m]
+		var d0, d1, d2, d3 float64
+		for l, v := range q {
+			d0 += v * t0[l]
+			d1 += v * t1[l]
+			d2 += v * t2[l]
+			d3 += v * t3[l]
+		}
+		d := dots[j : j+4 : j+4]
+		d[0], d[1], d[2], d[3] = d0, d1, d2, d3
 	}
-	if hit {
-		c.FFTCacheHits++
-	} else {
-		c.FFTCacheMisses++
+	for ; j < w; j++ {
+		var d float64
+		win := t[j : j+m]
+		for l, v := range q {
+			d += v * win[l]
+		}
+		dots[j] = d
 	}
-	prof := make([]float64, w)
-	if _, err := f.SlidingDotsInto(q, prof, nil); err != nil {
-		return 0, false
-	}
-	c.FFT++
+}
+
+// profileMin is the exact step both kernels share.  dots holds the sliding
+// dot products of q against every window; it is overwritten in place with the
+// approximate un-normalised profile ŝ_j = Σt² − 2·dot + Σq², and every window
+// whose ŝ_j is within twice errBound of the approximate minimum is re-summed
+// with ts.Dist's left-to-right summation.  Every ŝ_j is within errBound of
+// window j's left-to-right sum s_j, so the window j* with the smallest s_j
+// has ŝ_j* ≤ s_j* + errBound ≤ s_k + errBound ≤ ŝ_k + 2·errBound for the
+// approximate minimiser k: it is among the re-summed windows, and the
+// returned minimum is byte-identical to ts.Dist.  It must not allocate.
+//
+//ips:hotpath
+func (p *Prepared) profileMin(q []float64, qq float64, dots []float64, c *Counts) float64 {
+	m := len(q)
 	minHat := math.Inf(1)
-	for j := 0; j < w; j++ {
-		sHat := p.WindowSqSum(j, m) - 2*prof[j] + qq
+	for j, d := range dots {
+		sHat := p.WindowSqSum(j, m) - 2*d + qq
 		if sHat < 0 {
 			sHat = 0
 		}
-		prof[j] = sHat
+		dots[j] = sHat
 		if sHat < minHat {
 			minHat = sHat
 		}
 	}
-	return p.refineMin(q, prof, minHat, qq, c), true
-}
-
-// refineMin recomputes every window whose approximate un-normalised squared
-// distance is within twice the error bound of the approximate minimum with
-// the exact left-to-right summation of ts.Dist, and returns the minimum
-// normalised distance among them.
-func (p *Prepared) refineMin(q []float64, prof []float64, minHat, qq float64, c *Counts) float64 {
-	m := len(q)
 	fm := float64(m)
 	thr := minHat + 2*p.errBound(qq)
 	best := math.Inf(1)
-	for j, sHat := range prof {
+	for j, sHat := range dots {
 		if sHat > thr {
 			continue
 		}

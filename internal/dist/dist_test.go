@@ -57,12 +57,21 @@ func bitsEqual(a, b float64) bool {
 }
 
 // TestDistMatchesTsDist drives the single-query path over a broad shape and
-// data sweep and requires byte-identical agreement with ts.Dist.
+// data sweep and requires byte-identical agreement with ts.Dist.  The shapes
+// make the window count w = n−m+1 take every value from 1 to 9 and eight
+// consecutive larger values, so every residue modulo the rolling kernel's
+// block width occurs; the longest shape crosses to the fft kernel.
 func TestDistMatchesTsDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := [][2]int{
 		{1, 1}, {5, 3}, {16, 16}, {40, 7}, {64, 64}, {120, 17},
-		{256, 64}, {256, 128}, {300, 299}, {512, 256},
+		{256, 64}, {256, 128}, {300, 299}, {512, 256}, {2709, 1354},
+	}
+	for w := 1; w <= 9; w++ {
+		shapes = append(shapes, [2]int{40, 40 - w + 1})
+	}
+	for r := 1; r <= 8; r++ {
+		shapes = append(shapes, [2]int{120, 17 + r})
 	}
 	for kind := 0; kind < 4; kind++ {
 		for _, sh := range shapes {
@@ -90,21 +99,36 @@ func TestDistMatchesTsDist(t *testing.T) {
 
 // TestBatchKernelsMatchTsDist forces each kernel over the same workloads and
 // requires byte-identical agreement with ts.Dist per (query, series) pair —
-// the property that makes kernel choice a pure throughput knob.
+// the property that makes kernel choice a pure throughput knob.  The query
+// lengths make the window count w = n−m+1 take every value from 1 to 9 and
+// eight consecutive larger values, so every register-block edge of the
+// rolling kernel is hit, and a NaN query sits between two finite queries of
+// the same length (it must neither fail nor poison its neighbours' shared
+// buffers).
 func TestBatchKernelsMatchTsDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for kind := 0; kind < 4; kind++ {
 		n := 300 + kind*100
 		series := randSeries(rng, n, kind)
+		lengths := []int{1, 4, 64, 64, 100, 200}
+		for w := 1; w <= 9; w++ {
+			lengths = append(lengths, n-w+1)
+		}
+		for r := 0; r < 8; r++ {
+			lengths = append(lengths, 33+r)
+		}
 		var queries [][]float64
-		for _, m := range []int{1, 4, 33, 64, 64, 100, 200, n} {
-			if m <= n && rng.Intn(2) == 0 {
+		for _, m := range lengths {
+			if rng.Intn(2) == 0 {
 				at := rng.Intn(n - m + 1)
 				queries = append(queries, append([]float64(nil), series[at:at+m]...))
 			} else {
 				queries = append(queries, randSeries(rng, m, kind+1))
 			}
 		}
+		poisoned := randSeries(rng, 50, kind+1)
+		poisoned[7] = math.NaN()
+		queries = append(queries, randSeries(rng, 50, kind+1), poisoned, randSeries(rng, 50, kind+2))
 		want := make([]float64, len(queries))
 		for i, q := range queries {
 			want[i] = ts.Dist(q, series)
@@ -124,6 +148,9 @@ func TestBatchKernelsMatchTsDist(t *testing.T) {
 			}
 			if c.Rolling+c.FFT+c.Exact != int64(len(queries)) {
 				t.Fatalf("kernel=%v counts %+v do not cover %d queries", kernel, c, len(queries))
+			}
+			if c.Exact != 1 {
+				t.Fatalf("kernel=%v counts %+v: want exactly the NaN query on the exact fallback", kernel, c)
 			}
 			if kernel == KernelFFT && c.FFT == 0 {
 				t.Fatalf("forced fft kernel evaluated nothing via fft: %+v", c)
@@ -249,6 +276,10 @@ func TestCountsFlush(t *testing.T) {
 	}
 	if got := o.Metrics().Counter("dist.kernel.fft").Value(); got != c.FFT || c.FFT == 0 {
 		t.Fatalf("registry fft = %d, want %d (nonzero)", got, c.FFT)
+	}
+	// Both kernels re-sum at least the minimising window exactly.
+	if got := o.Metrics().Counter("dist.refined_windows").Value(); got != c.Refined || c.Refined < int64(len(queries)) {
+		t.Fatalf("registry refined_windows = %d, want %d (at least one per query)", got, c.Refined)
 	}
 	sp := o.Root().Child("eval")
 	c.Annotate(sp)

@@ -1,19 +1,19 @@
 package dist
 
 // Scratch is one worker's grow-once arena for repeated Batch evaluations:
-// the per-group window-energy vector, the fft sliding-dots and complex
-// buffers (both precisions), and a reusable Prepared for request-scoped
-// series that are seen once and never again — the ipsd serve loop, CV folds,
-// ensemble members.  Buffers grow to the high-water mark of the shapes they
-// have seen and are then reused verbatim, so a warmed scratch makes the
-// whole re-evaluation path allocation-free (asserted by TestBatchEvalAllocs
-// and the serve steady-state alloc test).
+// the sliding-dots buffer both float64 kernels write and profileMin turns
+// into the profile in place, the fft complex buffer, their float32
+// counterparts plus the float32 window energies, and a reusable Prepared for
+// request-scoped series that are seen once and never again — the ipsd serve
+// loop, CV folds, ensemble members.  Buffers grow to the high-water mark of
+// the shapes they have seen and are then reused verbatim, so a warmed
+// scratch makes the whole re-evaluation path allocation-free (asserted by
+// TestBatchEvalAllocs and the serve steady-state alloc test).
 //
 // A Scratch is owned by exactly one goroutine at a time; give each worker
 // its own.  The Prepared returned by Prepare aliases the scratch and is
 // invalidated by the next Prepare call.
 type Scratch struct {
-	winSq   []float64
 	dots    []float64
 	cbuf    []complex128
 	winSq32 []float32
@@ -29,11 +29,11 @@ type Scratch struct {
 // memoised: this is the path for series that flow through once (a serve
 // request's instances), where the identity cache would only leak.
 //
-// Scratch-prepared series always evaluate on the rolling kernel: a padded
-// series transform would be built and thrown away within one call, which
-// costs more than the fft kernel saves, and building it would allocate.
-// Kernel choice never changes float64 results, so this is a pure scheduling
-// decision.
+// Scratch-prepared series always evaluate on the rolling kernel (direct
+// sliding dots): a padded series transform would be built and thrown away
+// within one call, which costs more than the fft kernel saves, and building
+// it would allocate.  Kernel choice never changes float64 results, so this
+// is a pure scheduling decision.
 //
 //ips:hotpath
 func (s *Scratch) Prepare(t []float64) *Prepared {
