@@ -7,18 +7,19 @@
 //
 //	ipsbench [flags] <experiment>...
 //
-// Experiments: table2 table3 table4 table5 table6 table7
+// Experiments (the usage message prints the same names, sorted):
 //
-//	fig9 fig10a fig10bc fig11 fig12 fig13 all
-//	table6x (additional measured methods: RotF, LTS, FS)
-//	fig11m  (Fig. 11 ranked on measured accuracies)
-//	mp      (STOMP kernel micro-benchmark across worker counts;
-//	         snapshot with -mpout BENCH_mp.json)
-//	transform (shapelet-transform micro-benchmark: naive per-pair loop vs
-//	         the batched distance engine; snapshot with -tfout
-//	         BENCH_transform.json)
-//	stream  (STOMPI streaming-append micro-benchmark: per-append cost vs
-//	         full recompute; snapshot with -streamout BENCH_stream.json)
+//	table2 table3 table4 table5 table6 table7
+//	fig9 fig10a fig10bc fig11 fig12 fig13
+//	all      (table2 through fig13, in that order)
+//	table6x  (additional measured methods: RotF, LTS, FS)
+//	fig11m   (Fig. 11 ranked on measured accuracies)
+//	params   (Q_N × Q_S sensitivity, the §IV-A grids)
+//	cote     (the full 11-classifier weighted-vote ensemble)
+//	ablation (DT / CR / DABF / discord-candidate ablations)
+//
+// Performance is measured by perfbench (perfbench/README.md) and the
+// go-test benchmarks, not here.
 //
 // Flags:
 //
@@ -32,16 +33,9 @@
 //	             are identical for any value (default 1)
 //	-timeout D   abort the suite after D (e.g. 10m); a timed-out suite exits
 //	             with status 1 (0 = no limit)
-//	-mpout FILE  write the "mp" experiment's kernel report as JSON
-//	             (e.g. BENCH_mp.json)
-//	-tfout FILE  write the "transform" experiment's report as JSON
-//	             (e.g. BENCH_transform.json)
-//	-streamout FILE  write the "stream" experiment's report as JSON
-//	             (e.g. BENCH_stream.json)
 //	-precision float64|float32  shapelet-transform arithmetic width of the
-//	             IPS runs and the transform bench; float64 (default) is
-//	             byte-deterministic, float32 trades documented tolerance for
-//	             throughput
+//	             IPS runs; float64 (default) is byte-deterministic, float32
+//	             trades documented tolerance for throughput
 //
 // Observability (see internal/obs):
 //
@@ -63,6 +57,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -80,9 +75,6 @@ func main() {
 	k := flag.Int("k", 5, "shapelets per class")
 	runs := flag.Int("runs", 1, "repetitions averaged for randomised methods")
 	workers := flag.Int("workers", 1, "parallelise the IPS pipeline and STOMP kernels (results identical for any value)")
-	mpOut := flag.String("mpout", "", "write the mp experiment's kernel report as JSON to this file")
-	tfOut := flag.String("tfout", "", "write the transform experiment's report as JSON to this file")
-	streamOut := flag.String("streamout", "", "write the stream experiment's report as JSON to this file")
 	precision := flag.String("precision", "float64", "transform kernel arithmetic: float64 (byte-deterministic) or float32 (faster, approximate)")
 	logLevel := flag.String("log-level", "off", "structured log level: off, debug, info, warn, or error")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
@@ -111,8 +103,43 @@ func main() {
 		os.Exit(2)
 	}
 
+	h := &bench.Harness{
+		Quick:     *quick && !*full,
+		DataDir:   *data,
+		Seed:      *seed,
+		K:         *k,
+		Runs:      *runs,
+		Out:       os.Stdout,
+		Workers:   *workers,
+		Precision: prec,
+	}
+	experiments := map[string]func() error{
+		"table2":   func() error { _, err := h.Table2(ctx); return err },
+		"table3":   func() error { _, err := h.Table3(ctx); return err },
+		"table4":   func() error { _, err := h.Table4(ctx, nil); return err },
+		"table5":   func() error { _, err := h.Table5(ctx, nil); return err },
+		"table6":   func() error { _, err := h.Table6(ctx, nil); return err },
+		"table7":   func() error { _, err := h.Table7(ctx, nil); return err },
+		"fig9":     func() error { _, err := h.Fig9(ctx, nil); return err },
+		"fig10a":   func() error { _, err := h.Fig10a(ctx, nil); return err },
+		"fig10bc":  func() error { _, err := h.Fig10bc(ctx, nil); return err },
+		"fig11":    func() error { _, err := h.Fig11(nil); return err },
+		"fig12":    func() error { _, err := h.Fig12(ctx, nil); return err },
+		"fig13":    func() error { _, err := h.Fig13(ctx); return err },
+		"table6x":  func() error { _, err := h.Table6Extended(ctx, nil); return err },
+		"fig11m":   func() error { _, err := h.Fig11Measured(ctx, nil); return err },
+		"params":   func() error { _, err := h.Params(ctx, nil); return err },
+		"cote":     func() error { _, err := h.COTE(ctx, nil); return err },
+		"ablation": func() error { _, err := h.Ablation(ctx, nil); return err },
+	}
+
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: ipsbench [flags] <table2|table3|table4|table5|table6|table7|fig9|fig10a|fig10bc|fig11|fig12|fig13|all>...")
+		known := make([]string, 0, len(experiments)+1)
+		for name := range experiments {
+			known = append(known, name)
+		}
+		sort.Strings(known)
+		fmt.Fprintf(os.Stderr, "usage: ipsbench [flags] <%s>...\n", strings.Join(append(known, "all"), "|"))
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -121,6 +148,7 @@ func main() {
 	if *tracePath != "" || *debugAddr != "" || *manifestPath != "" {
 		o = obs.New("ipsbench")
 		o.Metrics().SetLogger(obs.Log(ctx))
+		h.Obs = o
 	}
 	var flight *obs.FlightRecorder
 	if *manifestPath != "" || *debugAddr != "" {
@@ -135,76 +163,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "debug server on http://%s (pprof /debug/pprof/, metrics /metrics, flight /debug/flight)\n", addr)
 	}
 
-	h := &bench.Harness{
-		Quick:     *quick && !*full,
-		DataDir:   *data,
-		Seed:      *seed,
-		K:         *k,
-		Runs:      *runs,
-		Out:       os.Stdout,
-		Obs:       o,
-		Workers:   *workers,
-		Precision: prec,
-	}
-
-	experiments := map[string]func() error{
-		"table2":  func() error { _, err := h.Table2(ctx); return err },
-		"table3":  func() error { _, err := h.Table3(ctx); return err },
-		"table4":  func() error { _, err := h.Table4(ctx, nil); return err },
-		"table5":  func() error { _, err := h.Table5(ctx, nil); return err },
-		"table6":  func() error { _, err := h.Table6(ctx, nil); return err },
-		"table7":  func() error { _, err := h.Table7(ctx, nil); return err },
-		"fig9":    func() error { _, err := h.Fig9(ctx, nil); return err },
-		"fig10a":  func() error { _, err := h.Fig10a(ctx, nil); return err },
-		"fig10bc": func() error { _, err := h.Fig10bc(ctx, nil); return err },
-		"fig11":   func() error { _, err := h.Fig11(nil); return err },
-		"fig12":   func() error { _, err := h.Fig12(ctx, nil); return err },
-		"fig13":   func() error { _, err := h.Fig13(ctx); return err },
-		"table6x": func() error { _, err := h.Table6Extended(ctx, nil); return err },
-		"fig11m":  func() error { _, err := h.Fig11Measured(ctx, nil); return err },
-		"params":  func() error { _, err := h.Params(ctx, nil); return err },
-		"mp": func() error {
-			rep, err := h.MPBench(ctx)
-			if err != nil {
-				return err
-			}
-			if *mpOut != "" {
-				if err := rep.WriteJSON(*mpOut); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "kernel report written to %s\n", *mpOut)
-			}
-			return nil
-		},
-		"cote":     func() error { _, err := h.COTE(ctx, nil); return err },
-		"ablation": func() error { _, err := h.Ablation(ctx, nil); return err },
-		"stream": func() error {
-			rep, err := h.StreamBench(ctx)
-			if err != nil {
-				return err
-			}
-			if *streamOut != "" {
-				if err := rep.WriteJSON(*streamOut); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "stream report written to %s\n", *streamOut)
-			}
-			return nil
-		},
-		"transform": func() error {
-			rep, err := h.TransformBench(ctx)
-			if err != nil {
-				return err
-			}
-			if *tfOut != "" {
-				if err := rep.WriteJSON(*tfOut); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "transform report written to %s\n", *tfOut)
-			}
-			return nil
-		},
-	}
 	order := []string{
 		"table2", "table3", "table4", "table5", "table6", "table7",
 		"fig9", "fig10a", "fig10bc", "fig11", "fig12", "fig13",

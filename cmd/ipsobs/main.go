@@ -1,5 +1,6 @@
 // Command ipsobs inspects and compares the run manifests written by
-// ips/ipsbench -manifest (see internal/obs.Manifest).
+// ips/ipsbench -manifest and by perfbench's traced runs (see
+// internal/obs.Manifest).
 //
 // Usage:
 //

@@ -47,9 +47,9 @@ type Harness struct {
 	// parallel path is deterministic for any worker count.
 	Workers int
 	// Precision selects the shapelet-transform arithmetic width of every IPS
-	// run and of the transform bench.  The float64 zero value keeps results
-	// byte-identical to the per-pair ts.Dist loop; dist.PrecisionFloat32 is
-	// the opt-in approximate throughput variant.
+	// run.  The float64 zero value keeps results byte-identical to the
+	// per-pair ts.Dist loop; dist.PrecisionFloat32 is the opt-in approximate
+	// throughput variant.
 	Precision dist.Precision
 }
 

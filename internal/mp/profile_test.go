@@ -293,8 +293,9 @@ func TestTopKExclusion(t *testing.T) {
 // lengths, windows, and worker counts.  Speedups over workers=1 require as
 // many CPUs as workers (compare with runtime.GOMAXPROCS); determinism does
 // not — every cell is byte-identical regardless (TestSelfJoinPropertyWorkers).
+// The CI scaling gate reads the eight N=16384 cells.
 func BenchmarkSelfJoin(b *testing.B) {
-	for _, size := range [][2]int{{1000, 50}, {4096, 128}, {16384, 64}} {
+	for _, size := range [][2]int{{1000, 50}, {4096, 128}, {16384, 64}, {16384, 256}} {
 		n, w := size[0], size[1]
 		series := randomSeries(n, 1)
 		for _, workers := range []int{1, 2, 4, 8} {
