@@ -20,9 +20,6 @@
 //	-show N      print the first N shapelets as sparklines (default 3)
 //	-save FILE   write the trained model to FILE as JSON
 //	-load FILE   classify with a previously saved model instead of training
-//	-precision float64|float32  shapelet-transform arithmetic width in fit
-//	             and predict; float64 (default) is byte-deterministic, float32
-//	             trades documented tolerance for throughput
 //
 // Observability (see internal/obs):
 //
@@ -55,7 +52,6 @@ import (
 	"time"
 
 	ips "ips"
-	"ips/internal/dist"
 	"ips/internal/obs"
 	"ips/internal/ucr"
 )
@@ -80,7 +76,6 @@ func main() {
 	spans := flag.Bool("spans", false, "print the span tree after the run")
 	progress := flag.Bool("progress", false, "stream stage progress to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof, expvar, /metrics, and /debug/flight on this address (e.g. :6060)")
-	precision := flag.String("precision", "float64", "transform kernel arithmetic: float64 (byte-deterministic) or float32 (faster, approximate)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long, e.g. 30s or 5m (0 = no limit)")
 	flag.Parse()
 
@@ -95,12 +90,6 @@ func main() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	prec, err := dist.ParsePrecision(*precision)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ips:", err)
-		os.Exit(2)
 	}
 
 	train, test, err := loadData(ctx, *dataset, *data, *trainPath, *testPath, *seed)
@@ -155,13 +144,11 @@ func main() {
 	opt.DABF.Seed = *seed
 	opt.SVM.Seed = *seed
 	opt.Workers = *workers
-	opt.Precision = prec
 	opt.Obs = o
 
 	config := map[string]any{
 		"k": *k, "qn": *qn, "qs": *qs, "workers": *workers,
-		"precision": *precision, "dataset": *dataset,
-		"train": *trainPath, "test": *testPath,
+		"dataset": *dataset, "train": *trainPath, "test": *testPath,
 	}
 	writeManifest := func(acc *float64, runErr error) {
 		if *manifestPath == "" {

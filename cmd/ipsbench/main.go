@@ -33,9 +33,6 @@
 //	             are identical for any value (default 1)
 //	-timeout D   abort the suite after D (e.g. 10m); a timed-out suite exits
 //	             with status 1 (0 = no limit)
-//	-precision float64|float32  shapelet-transform arithmetic width of the
-//	             IPS runs; float64 (default) is byte-deterministic, float32
-//	             trades documented tolerance for throughput
 //
 // Observability (see internal/obs):
 //
@@ -62,7 +59,6 @@ import (
 	"time"
 
 	"ips/internal/bench"
-	"ips/internal/dist"
 	"ips/internal/errs"
 	"ips/internal/obs"
 )
@@ -75,7 +71,6 @@ func main() {
 	k := flag.Int("k", 5, "shapelets per class")
 	runs := flag.Int("runs", 1, "repetitions averaged for randomised methods")
 	workers := flag.Int("workers", 1, "parallelise the IPS pipeline and STOMP kernels (results identical for any value)")
-	precision := flag.String("precision", "float64", "transform kernel arithmetic: float64 (byte-deterministic) or float32 (faster, approximate)")
 	logLevel := flag.String("log-level", "off", "structured log level: off, debug, info, warn, or error")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	manifestPath := flag.String("manifest", "", "write a run manifest (JSON) to this file; inspect with ipsobs")
@@ -97,21 +92,14 @@ func main() {
 		defer cancel()
 	}
 
-	prec, err := dist.ParsePrecision(*precision)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ipsbench:", err)
-		os.Exit(2)
-	}
-
 	h := &bench.Harness{
-		Quick:     *quick && !*full,
-		DataDir:   *data,
-		Seed:      *seed,
-		K:         *k,
-		Runs:      *runs,
-		Out:       os.Stdout,
-		Workers:   *workers,
-		Precision: prec,
+		Quick:   *quick && !*full,
+		DataDir: *data,
+		Seed:    *seed,
+		K:       *k,
+		Runs:    *runs,
+		Out:     os.Stdout,
+		Workers: *workers,
 	}
 	experiments := map[string]func() error{
 		"table2":   func() error { _, err := h.Table2(ctx); return err },
@@ -188,7 +176,7 @@ func main() {
 			Config: map[string]any{
 				"experiments": strings.Join(names, ","),
 				"quick":       *quick && !*full, "k": *k, "runs": *runs,
-				"workers": *workers, "precision": *precision,
+				"workers": *workers,
 			},
 			Err: runErr, Flight: flight,
 		})

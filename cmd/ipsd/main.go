@@ -67,7 +67,6 @@ import (
 	"syscall"
 	"time"
 
-	"ips/internal/dist"
 	"ips/internal/obs"
 	"ips/internal/serve"
 )
@@ -109,17 +108,11 @@ func run() int {
 	streamPoints := flag.Int("stream-points", 1<<20, "total points one streaming session may ingest")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, /metrics, and /debug/flight on this address (e.g. :6060)")
-	precision := flag.String("precision", "float64", "transform kernel arithmetic: float64 (byte-deterministic) or float32 (faster, approximate)")
 	logLevel := flag.String("log-level", "info", "structured log level: off, debug, info, warn, or error")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	flag.Parse()
 
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logJSON)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ipsd:", err)
-		return 2
-	}
-	prec, err := dist.ParsePrecision(*precision)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ipsd:", err)
 		return 2
@@ -142,7 +135,6 @@ func run() int {
 		MaxBodyBytes:    *maxBody,
 		MaxStreams:      *maxStreams,
 		MaxStreamPoints: *streamPoints,
-		Precision:       prec,
 		Obs:             o,
 	})
 	for _, p := range models.pairs {

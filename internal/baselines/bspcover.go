@@ -113,7 +113,7 @@ func BSPCoverDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg BSPConfig) 
 	for ci := range cands {
 		queries[ci] = cands[ci].values
 	}
-	D, err := distMatrix(ctx, train, nil, queries, nil)
+	D, err := distMatrix(ctx, prepareAll(train), nil, queries)
 	if err != nil {
 		return nil, err
 	}

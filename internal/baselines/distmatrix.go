@@ -7,22 +7,32 @@ import (
 	"ips/internal/ts"
 )
 
+// prepareAll prepares every training instance once, indexed like
+// train.Instances, so the distance matrices of one fit share each series'
+// prefix statistics and cached padded transforms.
+func prepareAll(train *ts.Dataset) []*dist.Prepared {
+	out := make([]*dist.Prepared, train.Len())
+	for i, in := range train.Instances {
+		out[i] = dist.Prepare(in.Values)
+	}
+	return out
+}
+
 // distMatrix evaluates every query against every training instance (or the
 // subset named by idx; nil means all, in dataset order) and returns
-// D[query][position], where position follows idx.  Each entry is
-// byte-identical to ts.Dist(query, instance), but the work is batched: one
-// engine pass per instance shares the per-length sliding statistics and the
-// padded series FFT across all queries, instead of re-deriving them per
-// (candidate, instance) pair.  An optional cache reuses prepared series
-// across calls (tree growers revisit instances node after node); nil
-// prepares per instance.
+// D[query][position], where position follows idx.  prepared holds the
+// prepared training instances (see prepareAll), indexed by instance, not by
+// position.  Each entry is byte-identical to ts.Dist(query, instance), but
+// the work is batched: one engine pass per instance shares the per-length
+// sliding statistics and the padded series FFT across all queries, instead
+// of re-deriving them per (candidate, instance) pair.
 //
 // Cancellation flows into the engine: once ctx is done the current instance
 // pass stops at its next length-group boundary and distMatrix returns a nil
 // matrix with an error matching errs.ErrCanceled.
-func distMatrix(ctx context.Context, train *ts.Dataset, idx []int, queries [][]float64, cache *dist.Cache) ([][]float64, error) {
+func distMatrix(ctx context.Context, prepared []*dist.Prepared, idx []int, queries [][]float64) ([][]float64, error) {
 	if idx == nil {
-		idx = make([]int, train.Len())
+		idx = make([]int, len(prepared))
 		for i := range idx {
 			idx[i] = i
 		}
@@ -33,11 +43,9 @@ func distMatrix(ctx context.Context, train *ts.Dataset, idx []int, queries [][]f
 	}
 	batch := dist.NewBatch(queries)
 	col := make([]float64, len(queries))
-	var counts dist.Counts
 	var scratch dist.Scratch
 	for pos, i := range idx {
-		p := cache.Prepared(train.Instances[i].Values, &counts)
-		if err := batch.EvalScratchCtx(ctx, p, col, &counts, &scratch); err != nil {
+		if err := batch.EvalScratchCtx(ctx, prepared[i], col, nil, &scratch); err != nil {
 			return nil, err
 		}
 		for qi := range queries {

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"ips/internal/classify"
-	"ips/internal/dist"
 	"ips/internal/ts"
 )
 
@@ -84,9 +83,10 @@ func FastShapeletsDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg FSConf
 		classTotals[in.Label]++
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	// One cache across length ratios: every ratio's refinement pass walks
-	// the same training instances, so their prefix statistics are shared.
-	cache := dist.NewCache()
+	// Prepare the training instances once across length ratios: every
+	// ratio's refinement pass walks the same instances, so their prefix
+	// statistics are shared.
+	prepared := prepareAll(train)
 
 	var out []classify.Shapelet
 	for _, ratio := range cfg.LengthRatios {
@@ -172,7 +172,7 @@ func FastShapeletsDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg FSConf
 		for i, w := range chosen {
 			queries[i] = w.rep
 		}
-		D, err := distMatrix(ctx, train, nil, queries, cache)
+		D, err := distMatrix(ctx, prepared, nil, queries)
 		if err != nil {
 			return nil, err
 		}

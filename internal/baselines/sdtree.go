@@ -75,10 +75,9 @@ func SDTreeTrainCtx(ctx context.Context, train *ts.Dataset, cfg SDTreeConfig) (*
 	for i := range idx {
 		idx[i] = i
 	}
-	// One prepared-series cache for the whole tree: child nodes revisit the
-	// same instances, so each series' prefix statistics are built once.
-	cache := dist.NewCache()
-	root, err := growSDNode(ctx, train, idx, cfg, rng, 0, cache)
+	// Prepare every instance once for the whole tree: child nodes revisit
+	// the same instances, so each series' prefix statistics are built once.
+	root, err := growSDNode(ctx, train, prepareAll(train), idx, cfg, rng, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +85,7 @@ func SDTreeTrainCtx(ctx context.Context, train *ts.Dataset, cfg SDTreeConfig) (*
 }
 
 // growSDNode recursively builds one node over the instances in idx.
-func growSDNode(ctx context.Context, train *ts.Dataset, idx []int, cfg SDTreeConfig, rng *rand.Rand, depth int, cache *dist.Cache) (*sdNode, error) {
+func growSDNode(ctx context.Context, train *ts.Dataset, prepared []*dist.Prepared, idx []int, cfg SDTreeConfig, rng *rand.Rand, depth int) (*sdNode, error) {
 	labels := train.Labels()
 	pure := true
 	for _, i := range idx[1:] {
@@ -138,7 +137,7 @@ func growSDNode(ctx context.Context, train *ts.Dataset, idx []int, cfg SDTreeCon
 	for ci, cand := range cands {
 		queries[ci] = cand.values
 	}
-	D, err := distMatrix(ctx, train, idx, queries, cache)
+	D, err := distMatrix(ctx, prepared, idx, queries)
 	if err != nil {
 		return nil, err
 	}
@@ -171,11 +170,11 @@ func growSDNode(ctx context.Context, train *ts.Dataset, idx []int, cfg SDTreeCon
 	if len(leftIdx) < cfg.MinLeaf || len(rightIdx) < cfg.MinLeaf {
 		return &sdNode{label: majorityOf(labels, idx)}, nil
 	}
-	left, err := growSDNode(ctx, train, leftIdx, cfg, rng, depth+1, cache)
+	left, err := growSDNode(ctx, train, prepared, leftIdx, cfg, rng, depth+1)
 	if err != nil {
 		return nil, err
 	}
-	right, err := growSDNode(ctx, train, rightIdx, cfg, rng, depth+1, cache)
+	right, err := growSDNode(ctx, train, prepared, rightIdx, cfg, rng, depth+1)
 	if err != nil {
 		return nil, err
 	}

@@ -147,7 +147,7 @@ func STDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg STConfig) ([]clas
 	for ci, ref := range space {
 		queries[ci] = train.Instances[ref.inst].Values[ref.at : ref.at+ref.length]
 	}
-	D, err := distMatrix(ctx, train, nil, queries, nil)
+	D, err := distMatrix(ctx, prepareAll(train), nil, queries)
 	if err != nil {
 		return nil, err
 	}

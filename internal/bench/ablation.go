@@ -140,8 +140,7 @@ func (h *Harness) evaluateWithoutDiscords(ctx context.Context, train, test *ts.D
 	if len(shapelets) == 0 {
 		return 0, fmt.Errorf("bench: no shapelets without discords")
 	}
-	tcfg := classify.TransformConfig{Precision: opt.Precision}
-	X, err := classify.TransformWith(ctx, train, shapelets, tcfg)
+	X, err := classify.TransformWith(ctx, train, shapelets, classify.TransformConfig{})
 	if err != nil {
 		return 0, err
 	}
@@ -153,7 +152,7 @@ func (h *Harness) evaluateWithoutDiscords(ctx context.Context, train, test *ts.D
 	if err != nil {
 		return 0, err
 	}
-	Xt, err := classify.TransformWith(ctx, test, shapelets, tcfg)
+	Xt, err := classify.TransformWith(ctx, test, shapelets, classify.TransformConfig{})
 	if err != nil {
 		return 0, err
 	}

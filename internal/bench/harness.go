@@ -11,7 +11,6 @@ import (
 	"ips/internal/classify"
 	"ips/internal/core"
 	"ips/internal/dabf"
-	"ips/internal/dist"
 	"ips/internal/errs"
 	"ips/internal/ip"
 	"ips/internal/obs"
@@ -46,11 +45,6 @@ type Harness struct {
 	// joins (<=1 means sequential).  Accuracies are unaffected: every
 	// parallel path is deterministic for any worker count.
 	Workers int
-	// Precision selects the shapelet-transform arithmetic width of every IPS
-	// run.  The float64 zero value keeps results byte-identical to the
-	// per-pair ts.Dist loop; dist.PrecisionFloat32 is the opt-in approximate
-	// throughput variant.
-	Precision dist.Precision
 }
 
 // benchCtx normalises a possibly-nil context; every exported experiment
@@ -118,13 +112,12 @@ func (h *Harness) Load(name string) (train, test *ts.Dataset, err error) {
 // ipsOptions returns the IPS pipeline configuration for the current mode.
 func (h *Harness) ipsOptions() core.Options {
 	opt := core.Options{
-		IP:        ip.Config{QN: 10, QS: 3, Seed: h.Seed},
-		DABF:      dabf.Config{Seed: h.Seed},
-		K:         h.k(),
-		SVM:       classify.SVMConfig{Seed: h.Seed},
-		Obs:       h.Obs,
-		Workers:   h.Workers,
-		Precision: h.Precision,
+		IP:      ip.Config{QN: 10, QS: 3, Seed: h.Seed},
+		DABF:    dabf.Config{Seed: h.Seed},
+		K:       h.k(),
+		SVM:     classify.SVMConfig{Seed: h.Seed},
+		Obs:     h.Obs,
+		Workers: h.Workers,
 	}
 	if h.Quick {
 		opt.IP.QN = 5

@@ -26,7 +26,7 @@ type Shapelet struct {
 }
 
 // TransformConfig parameterises TransformWith.  The zero value is a
-// sequential, auto-kernel, float64 transform.
+// sequential, auto-kernel transform.
 type TransformConfig struct {
 	// Workers is the per-instance embedding fan-out (<=1 means sequential).
 	// Output is identical for any value.
@@ -36,10 +36,11 @@ type TransformConfig struct {
 	// Kernel forces the distance kernel (dist.KernelAuto selects per query
 	// length).  Kernel choice never changes results.
 	Kernel dist.Kernel
-	// Precision selects the kernel arithmetic width.  The float64 default is
-	// byte-identical to the per-pair ts.Dist loop; dist.PrecisionFloat32 is
-	// the opt-in approximate throughput variant (see dist.Precision).
-	Precision dist.Precision
+	// Precision is an empty placeholder: the engine has one arithmetic,
+	// byte-identical to ts.Dist.
+	//
+	// Deprecated: nothing reads it, and it will be removed.
+	Precision struct{}
 }
 
 // TransformWith is the shapelet transform with cooperative cancellation and
@@ -49,9 +50,8 @@ type TransformConfig struct {
 // shapelets are grouped by length once up front, and every row shares the
 // per-(series, length) sliding statistics.  Each worker owns a dist.Scratch
 // arena, so the per-group working set is allocated once per worker and
-// reused across every instance.  At the default float64 precision the output
-// is byte-identical to the per-pair ts.Dist loop for any worker count and
-// either kernel.
+// reused across every instance.  The output is byte-identical to the
+// per-pair ts.Dist loop for any worker count and either kernel.
 //
 // Cancellation is checked per instance: once ctx is done the workers keep
 // draining the job channel (so the producer never blocks) but skip the
@@ -62,7 +62,6 @@ func TransformWith(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, cfg
 	sp.SetInt("instances", int64(len(d.Instances)))
 	sp.SetInt("shapelets", int64(len(shapelets)))
 	sp.SetInt("workers", int64(max(workers, 1)))
-	sp.SetString("precision", cfg.Precision.String())
 	sp.Metrics().Counter("classify.transform.dists").Add(int64(len(d.Instances)) * int64(len(shapelets)))
 	queries := make([][]float64, len(shapelets))
 	for i, s := range shapelets {
@@ -70,7 +69,6 @@ func TransformWith(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, cfg
 	}
 	batch := dist.NewBatch(queries)
 	batch.SetKernel(cfg.Kernel)
-	batch.SetPrecision(cfg.Precision)
 	out := make([][]float64, len(d.Instances))
 	var total dist.Counts
 	embed := func(j int, c *dist.Counts, s *dist.Scratch) error {

@@ -100,46 +100,6 @@ func TestTransformByteIdenticalUCR(t *testing.T) {
 	}
 }
 
-// TestTransformFloat32WorkersDeterministic pins the float32 variant's
-// determinism contract: the opt-in single-precision transform is NOT
-// byte-identical to float64 (that's the trade), but it is a pure function of
-// the rounded inputs — byte-identical across worker counts and within the
-// documented tolerance of the float64 embedding.
-func TestTransformFloat32WorkersDeterministic(t *testing.T) {
-	train, _, err := ucr.GenerateByName("GunPoint", ucr.GenConfig{Seed: 7, MaxTrain: 16, MaxTest: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := fixtureShapelets(train, []int{8, 16, 64, 64, 100})
-	cfg := func(workers int) TransformConfig {
-		return TransformConfig{Workers: workers, Precision: dist.PrecisionFloat32}
-	}
-	ref, err := TransformWith(context.Background(), train, sh, cfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, err := TransformWith(context.Background(), train, sh, cfg(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitsEqual(t, got, ref, fmt.Sprintf("float32 workers=%d", workers))
-	}
-	want := naiveTransform(train, sh)
-	for j := range want {
-		for i := range want[j] {
-			scale := 1.0
-			if want[j][i] > scale {
-				scale = want[j][i]
-			}
-			if diff := math.Abs(ref[j][i] - want[j][i]); diff > 1e-3*scale {
-				t.Fatalf("float32 embedding[%d][%d] = %v, float64 = %v (diff %v beyond tolerance)",
-					j, i, ref[j][i], want[j][i], diff)
-			}
-		}
-	}
-}
-
 // TestTransformSharedCacheConcurrent runs several transforms of the same
 // dataset concurrently — the cross-validation / train-then-test sharing
 // pattern — and requires every result byte-identical to the sequential

@@ -111,6 +111,79 @@ func TestRawUtilitiesCRMatchesNoCR(t *testing.T) {
 	}
 }
 
+// TestRawUtilitiesMatchTsDist pins the raw utility sums bit-equal to a
+// reference loop of ts.Dist calls that accumulates in the same order.  Two
+// length ratios give shorter-first, longer-first and equal-length pairs, so
+// both sides of "the longer side is the series" run.
+func TestRawUtilitiesMatchTsDist(t *testing.T) {
+	d := plantedDataset(6, 80, 2, 5)
+	pool, err := ip.GenerateSpan(context.Background(), d, ip.Config{QN: 4, QS: 2, LengthRatios: []float64{0.2, 0.4}, Seed: 6}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	motifs := pool.Motifs(0)
+	others := pool.ByClass[1]
+	instances := d.ByClass()[0]
+	var shorter, longer, equal int
+	for _, m := range motifs {
+		for _, o := range others {
+			switch {
+			case len(m.Values) < len(o.Values):
+				shorter++
+			case len(m.Values) > len(o.Values):
+				longer++
+			default:
+				equal++
+			}
+		}
+	}
+	if shorter == 0 || longer == 0 || equal == 0 {
+		t.Fatalf("fixture pairs: %d shorter, %d longer, %d equal; want all three", shorter, longer, equal)
+	}
+	for _, useCR := range []bool{true, false} {
+		n := len(motifs)
+		want := &utilities{intra: make([]float64, n), inter: make([]float64, n), dc: make([]float64, n)}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				switch {
+				case useCR && j > i:
+					v := ts.Dist(motifs[i].Values, motifs[j].Values)
+					want.intra[i] += v
+					want.intra[j] += v
+				case !useCR && j != i:
+					want.intra[i] += ts.Dist(motifs[i].Values, motifs[j].Values)
+				}
+			}
+			for _, o := range others {
+				want.inter[i] += ts.Dist(motifs[i].Values, o.Values)
+			}
+		}
+		for _, in := range instances {
+			for i, m := range motifs {
+				want.dc[i] += ts.Dist(m.Values, in.Values)
+			}
+		}
+		got, err := rawUtilities(context.Background(), motifs, others, instances, useCR, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"intra", got.intra[i], want.intra[i]},
+				{"inter", got.inter[i], want.inter[i]},
+				{"dc", got.dc[i], want.dc[i]},
+			} {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Fatalf("useCR=%v %s[%d] = %v, ts.Dist reference = %v", useCR, c.name, i, c.got, c.want)
+				}
+			}
+		}
+	}
+}
+
 func TestDTUtilitiesCRMatchesNoCR(t *testing.T) {
 	d := plantedDataset(6, 60, 2, 3)
 	pool, err := ip.GenerateSpan(context.Background(), d, ip.Config{QN: 4, QS: 2, LengthRatios: []float64{0.25}, Seed: 4}, nil)

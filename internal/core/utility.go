@@ -94,16 +94,17 @@ func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candid
 		dc:    make([]float64, n),
 	}
 	dists := sp.Metrics().Counter("core.select.raw_dists")
-	// All three utilities run on the batched engine: candidates and
-	// instances are prepared once in a shared cache, and each pairwise
-	// value is byte-identical to the ts.Dist it replaces.
-	cache := dist.NewCache()
+	// All three utilities run on the batched engine: every motif, other
+	// candidate and instance is prepared once, and each pairwise value is
+	// byte-identical to the ts.Dist it replaces.
+	pm := prepareValues(motifs)
+	po := prepareValues(others)
 	var counts dist.Counts
-	pair := func(a, b ts.Series) float64 {
-		if len(a) < len(b) {
-			a, b = b, a // prepare the longer side; the shorter one slides
+	pair := func(a, b *dist.Prepared) float64 {
+		if a.Len() < b.Len() {
+			a, b = b, a // the longer side is the series; the shorter one slides
 		}
-		return cache.Prepared(a, &counts).DistCounted(b, &counts)
+		return a.DistCounted(b.Series(), &counts)
 	}
 	intraSp := sp.Child("utility.intra")
 	if useCR {
@@ -116,7 +117,7 @@ func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candid
 				}
 			}
 			for j := i + 1; j < n; j++ {
-				d := pair(motifs[i].Values, motifs[j].Values)
+				d := pair(pm[i], pm[j])
 				u.intra[i] += d
 				u.intra[j] += d
 			}
@@ -134,7 +135,7 @@ func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candid
 				if i == j {
 					continue
 				}
-				u.intra[i] += pair(motifs[i].Values, motifs[j].Values)
+				u.intra[i] += pair(pm[i], pm[j])
 			}
 		}
 		dists.Add(int64(n) * int64(n-1))
@@ -150,8 +151,8 @@ func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candid
 				return nil, err
 			}
 		}
-		for _, o := range others {
-			u.inter[i] += pair(motifs[i].Values, o.Values)
+		for _, o := range po {
+			u.inter[i] += pair(pm[i], o)
 		}
 	}
 	dists.Add(int64(n) * int64(len(others)))
@@ -174,8 +175,7 @@ func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candid
 				return nil, err
 			}
 		}
-		p := cache.Prepared(in.Values, &counts)
-		if err := batch.EvalScratchCtx(ctx, p, col, &counts, &scratch); err != nil {
+		if err := batch.EvalScratchCtx(ctx, dist.Prepare(in.Values), col, &counts, &scratch); err != nil {
 			dcSp.End()
 			return nil, err
 		}
@@ -187,6 +187,16 @@ func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candid
 	dcSp.End()
 	counts.AddTo(sp.Metrics())
 	return u, nil
+}
+
+// prepareValues prepares each candidate's values once for the raw utility
+// loops, which revisit every candidate many times.
+func prepareValues(cands []ip.Candidate) []*dist.Prepared {
+	out := make([]*dist.Prepared, len(cands))
+	for i, c := range cands {
+		out[i] = dist.Prepare(c.Values)
+	}
+	return out
 }
 
 // dtUtilities computes the utility sums through the DT optimisation

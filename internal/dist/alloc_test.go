@@ -41,49 +41,37 @@ func requireZeroAllocs(t *testing.T, what string, fn func()) {
 // TestBatchEvalAllocs pins the arena contract of EvalScratchCtx: with a warm
 // Scratch, re-evaluating a batch allocates nothing — neither on the
 // scratch-prepared path (the serve loop: every request series is new) nor on
-// the cached-Prepared path (CV folds re-evaluating resident series), in
-// either precision.
+// the cached-Prepared path (CV folds re-evaluating resident series).
 func TestBatchEvalAllocs(t *testing.T) {
 	ctx := context.Background()
 	b, series := allocBatch()
-	b32, _ := allocBatch()
-	b32.SetPrecision(PrecisionFloat32)
 
 	out := make([]float64, b.Len())
 	var c Counts
 	var evalErr error
 
-	for _, tc := range []struct {
-		name  string
-		batch *Batch
-	}{
-		{"float64", b},
-		{"float32", b32},
-	} {
-		var s Scratch
-		requireZeroAllocs(t, tc.name+"/scratch-prepared", func() {
-			p := s.Prepare(series)
-			if err := tc.batch.EvalScratchCtx(ctx, p, out, &c, &s); err != nil {
-				evalErr = err
-			}
-		})
+	var s Scratch
+	requireZeroAllocs(t, "scratch-prepared", func() {
+		p := s.Prepare(series)
+		if err := b.EvalScratchCtx(ctx, p, out, &c, &s); err != nil {
+			evalErr = err
+		}
+	})
 
-		var s2 Scratch
-		p := Prepare(series) // resident series: fft transforms cache on it
-		requireZeroAllocs(t, tc.name+"/cached-prepared", func() {
-			if err := tc.batch.EvalScratchCtx(ctx, p, out, &c, &s2); err != nil {
-				evalErr = err
-			}
-		})
-	}
+	var s2 Scratch
+	p := Prepare(series) // resident series: fft transforms cache on it
+	requireZeroAllocs(t, "cached-prepared", func() {
+		if err := b.EvalScratchCtx(ctx, p, out, &c, &s2); err != nil {
+			evalErr = err
+		}
+	})
 	if evalErr != nil {
 		t.Fatalf("eval: %v", evalErr)
 	}
 }
 
 // TestScratchMatchesEvalInto pins that the scratch-prepared route matches
-// the resident-Prepared route with a per-call scratch at float64:
-// byte-identical output (kernel choice differs between them, which by
+// the resident-Prepared route with a per-call scratch: byte-identical output (kernel choice differs between them, which by
 // contract never changes results).
 func TestScratchMatchesEvalInto(t *testing.T) {
 	b, series := allocBatch()

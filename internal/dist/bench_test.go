@@ -74,8 +74,8 @@ func benchKernels(b *testing.B, cell string, series []float64, queries [][]float
 	}
 }
 
-// BenchmarkPrepare measures the per-series preparation cost the cache
-// amortises away.
+// BenchmarkPrepare measures the per-series preparation cost a resident
+// Prepared pays once and every later query against that series reuses.
 func BenchmarkPrepare(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{256, 4096} {

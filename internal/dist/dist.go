@@ -144,14 +144,6 @@ type Prepared struct {
 
 	mu  sync.Mutex
 	fts map[int]*fft.FT // padded forward transforms keyed by size
-
-	// float32 side, built lazily on the first single-precision evaluation
-	// (grow-once, so a scratch-reused Prepared re-fills in place).
-	built32  bool
-	t32      []float32
-	tt32     float32 // Σt² accumulated in float32
-	finite32 bool    // every rounded value and tt32 are finite in float32
-	fts32    map[int]*fft.FT32
 }
 
 // Prepare builds the prepared form of t in O(n).  The returned value aliases
@@ -227,58 +219,6 @@ func (p *Prepared) ft(size int, c *Counts) *fft.FT {
 	}
 	p.fts[size] = f
 	return f
-}
-
-// f32 returns the float32 view of the series — the rounded values and their
-// float32-accumulated energy — building it on first use.  The third result
-// reports whether the rounded series is usable: a magnitude beyond float32
-// range converts to ±Inf, in which case callers stay on the float64 kernels.
-// The build is grow-once so a scratch-reused Prepared re-fills in place.
-func (p *Prepared) f32() ([]float32, float32, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.built32 {
-		n := len(p.t)
-		if cap(p.t32) < n {
-			p.t32 = make([]float32, n)
-		}
-		p.t32 = p.t32[:n]
-		var tt float32
-		for i, v := range p.t {
-			f := float32(v)
-			p.t32[i] = f
-			tt += f * f
-		}
-		p.tt32 = tt
-		f64 := float64(tt)
-		p.finite32 = p.finite && !math.IsNaN(f64) && !math.IsInf(f64, 0)
-		p.built32 = true
-	}
-	return p.t32, p.tt32, p.finite32
-}
-
-// ft32 returns the cached complex64 padded transform of the float32 series
-// for the given size, building both on first use.  The second result reports
-// a cache hit.  Never called for noFFT (scratch-prepared) series.
-func (p *Prepared) ft32(size int) (*fft.FT32, bool) {
-	t32, _, ok := p.f32()
-	if !ok {
-		return nil, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if f := p.fts32[size]; f != nil {
-		return f, true
-	}
-	f, err := fft.NewFT32(t32, size)
-	if err != nil {
-		return nil, false // impossible by construction; callers fall back
-	}
-	if p.fts32 == nil {
-		p.fts32 = map[int]*fft.FT32{}
-	}
-	p.fts32[size] = f
-	return f, false
 }
 
 // Dist returns the Def. 4 distance of q against the prepared series,

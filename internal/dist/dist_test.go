@@ -233,32 +233,6 @@ func TestKernelFor(t *testing.T) {
 	}
 }
 
-// TestCacheIdentity verifies slice-identity memoisation and hit accounting.
-func TestCacheIdentity(t *testing.T) {
-	cache := NewCache()
-	var c Counts
-	s := []float64{1, 2, 3, 4}
-	p1 := cache.Prepared(s, &c)
-	p2 := cache.Prepared(s, &c)
-	if p1 != p2 {
-		t.Fatal("same slice should memoise to the same Prepared")
-	}
-	if c.PreparedMisses != 1 || c.PreparedHits != 1 {
-		t.Fatalf("counts = %+v, want 1 miss + 1 hit", c)
-	}
-	// A distinct window of the same array is a distinct key.
-	if p3 := cache.Prepared(s[1:], &c); p3 == p1 {
-		t.Fatal("different slice identity must not share an entry")
-	}
-	if cache.Size() != 2 {
-		t.Fatalf("cache size = %d, want 2", cache.Size())
-	}
-	// Empty series bypass the cache.
-	if p := cache.Prepared(nil, &c); p == nil || cache.Size() != 2 {
-		t.Fatal("empty series must prepare fresh without caching")
-	}
-}
-
 // TestCountsFlush verifies the obs plumbing end to end: counters land in the
 // registry under the dist.* namespace and span attributes are recorded.
 func TestCountsFlush(t *testing.T) {

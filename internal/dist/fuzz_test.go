@@ -28,16 +28,6 @@ func fuzzFloatsCapped(data []byte) []float64 {
 	return out
 }
 
-// roundF32 returns v rounded through float32, the inputs the
-// single-precision kernels actually see.
-func roundF32(v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(float32(x))
-	}
-	return out
-}
-
 // FuzzDist cross-checks the four Def. 4 implementations on arbitrary finite
 // input: ts.Dist (the reference), the engine's rolling and fft kernels
 // (byte-identical to the reference by contract), and the min over
@@ -79,36 +69,6 @@ func FuzzDist(f *testing.F) {
 			if out := evalInto(t, b, p, make([]float64, 1), nil); !bitsEqual(out[0], want) {
 				t.Fatalf("kernel %v = %v (bits %x), ts.Dist = %v (bits %x), m=%d n=%d",
 					kernel, out[0], math.Float64bits(out[0]), want, math.Float64bits(want), len(q), len(series))
-			}
-		}
-
-		// Float32 cross-check: the single-precision kernels return the Def. 4
-		// distance of the float32-ROUNDED inputs up to float32 accumulation
-		// error, so the reference is the exact float64 evaluation of the
-		// rounded pair and the tolerance covers only accumulation.  Pairs the
-		// float32 side cannot represent must fall back byte-identically to
-		// the float64 answer.
-		for _, kernel := range []Kernel{KernelRolling, KernelFFT} {
-			b32 := NewBatch([][]float64{q})
-			b32.SetKernel(kernel)
-			b32.SetPrecision(PrecisionFloat32)
-			out := make([]float64, 1)
-			evalInto(t, b32, p, out, nil)
-			_, _, seriesOK := p.f32()
-			if len(q) == 0 || len(q) > len(series) || !p.finite || !seriesOK || !b32.finite32[0] {
-				if !bitsEqual(out[0], want) {
-					t.Fatalf("float32 %v fallback = %v (bits %x), ts.Dist = %v (bits %x), m=%d n=%d",
-						kernel, out[0], math.Float64bits(out[0]), want, math.Float64bits(want), len(q), len(series))
-				}
-				continue
-			}
-			qr := roundF32(q)
-			tr := roundF32(series)
-			ref := ts.Dist(qr, tr)
-			tol := 1e-4*(sumSq(qr)+sumSq(tr))/float64(len(q)) + 1e-7
-			if math.Abs(out[0]-ref) > tol {
-				t.Fatalf("float32 %v = %v, rounded-input ts.Dist = %v (tol %v), m=%d n=%d",
-					kernel, out[0], ref, tol, len(q), len(series))
 			}
 		}
 

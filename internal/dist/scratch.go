@@ -1,9 +1,8 @@
 package dist
 
 // Scratch is one worker's grow-once arena for repeated Batch evaluations:
-// the sliding-dots buffer both float64 kernels write and profileMin turns
-// into the profile in place, the fft complex buffer, their float32
-// counterparts plus the float32 window energies, and a reusable Prepared for
+// the sliding-dots buffer both kernels write and profileMin turns into the
+// profile in place, the fft complex buffer, and a reusable Prepared for
 // request-scoped series that are seen once and never again — the ipsd serve
 // loop, CV folds, ensemble members.  Buffers grow to the high-water mark of
 // the shapes they have seen and are then reused verbatim, so a warmed
@@ -14,20 +13,17 @@ package dist
 // its own.  The Prepared returned by Prepare aliases the scratch and is
 // invalidated by the next Prepare call.
 type Scratch struct {
-	dots    []float64
-	cbuf    []complex128
-	winSq32 []float32
-	dots32  []float32
-	cbuf32  []complex64
+	dots []float64
+	cbuf []complex128
 
 	prep Prepared
 }
 
 // Prepare builds the prepared form of t into the scratch's reusable
 // Prepared, replacing whatever the previous call prepared.  Unlike
-// dist.Prepare, nothing is retained beyond the next call and nothing is
-// memoised: this is the path for series that flow through once (a serve
-// request's instances), where the identity cache would only leak.
+// dist.Prepare, nothing is retained beyond the next call: this is the path
+// for series that flow through once (a serve request's instances), where a
+// resident Prepared per series would only pile up.
 //
 // Scratch-prepared series always evaluate on the rolling kernel (direct
 // sliding dots): a padded series transform would be built and thrown away
@@ -55,7 +51,5 @@ func (s *Scratch) Prepare(t []float64) *Prepared {
 	p.finite = finiteTotal(p.prefixSq[n])
 	p.noFFT = true
 	p.fts = nil // stale transforms of the previous series must never resolve
-	p.fts32 = nil
-	p.built32 = false
 	return p
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ips"
 	"ips/internal/classify"
 	"ips/internal/core"
 	"ips/internal/dabf"
@@ -33,7 +34,8 @@ func smallOptions(seed int64) core.Options {
 
 // entryPoints are the public pipeline operations the matrix drives against
 // every fault.  Each returns the run's error; the clean test split lets
-// Evaluate and Predict separate train-side from test-side corruption.
+// Evaluate, Predict and Transform separate train-side from test-side
+// corruption.
 func entryPoints(clean *ts.Dataset) map[string]func(ctx context.Context, d *ts.Dataset) error {
 	return map[string]func(ctx context.Context, d *ts.Dataset) error{
 		"discover": func(ctx context.Context, d *ts.Dataset) error {
@@ -58,6 +60,14 @@ func entryPoints(clean *ts.Dataset) map[string]func(ctx context.Context, d *ts.D
 				return err
 			}
 			_, err = m.Predict(ctx, d)
+			return err
+		},
+		"transform": func(ctx context.Context, d *ts.Dataset) error {
+			m, err := core.Fit(ctx, clean, smallOptions(6))
+			if err != nil {
+				return err
+			}
+			_, err = ips.Transform(ctx, d, m.Shapelets)
 			return err
 		},
 	}
@@ -85,7 +95,8 @@ func TestFaultMatrix(t *testing.T) {
 			err := runCell(t, cell, func() error {
 				return call(context.Background(), corrupted)
 			})
-			wantErr := fault.WantErr && !(op == "predict" && fault.TestSideOK)
+			testSide := op == "predict" || op == "transform"
+			wantErr := fault.WantErr && !(testSide && fault.TestSideOK)
 			if wantErr && err == nil {
 				t.Errorf("%s: corrupted input accepted without error", cell)
 			}

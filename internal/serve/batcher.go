@@ -263,8 +263,8 @@ func (g *gate) exec(group []*job, es *execScratch) {
 
 // evalGroup embeds (and, for classify jobs, scores) every live job against
 // the resolved version, entirely inside the worker's scratch: request series
-// are scratch-prepared (they are seen once — the identity cache would only
-// leak), the embedding evaluates into the reusable row buffers, and classify
+// are scratch-prepared (they are seen once, so nothing about them is kept),
+// the embedding evaluates into the reusable row buffers, and classify
 // predictions append into the job's admission-preallocated storage.  After
 // warm-up the classify path allocates nothing; transform rows are the
 // response payload and must escape, so that path allocates exactly the rows

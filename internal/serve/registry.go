@@ -26,9 +26,7 @@ type version struct {
 	// batching gate exists for.  Every request served by this version
 	// evaluates against it with a worker-owned dist.Scratch, so the
 	// steady-state classify loop allocates nothing and retains nothing per
-	// request.  (An earlier design memoised request series into a per-version
-	// dist.Cache keyed by slice identity; since request storage is never seen
-	// twice, that cache was a per-request memory leak.)
+	// request.
 	batch *dist.Batch
 }
 
@@ -102,7 +100,6 @@ func (s *Server) Register(ctx context.Context, name, source string, m *core.Mode
 		queries[i] = sh.Values
 	}
 	batch := dist.NewBatch(queries)
-	batch.SetPrecision(s.cfg.Precision)
 	v := &version{id: sl.lastID.Add(1), source: source, model: m, batch: batch}
 	sl.cur.Store(v)
 	sl.retired.Store(false)

@@ -13,14 +13,13 @@
 //
 // Requests are admitted through a bounded per-model queue drained by a
 // per-model worker pool.  Each worker coalesces whatever is queued (up to
-// Config.MaxBatch) into one shapelet-transform pass over a single batched
-// distance evaluation, which amortizes the dist prepared-statistics cache
-// across concurrent requests; per-model pools isolate a hot model from
-// starving the others.  Overload is explicit and typed: a full queue maps
-// to errs.ErrOverload (HTTP 429), a draining server or retired model to
-// errs.ErrUnavailable (HTTP 503), and a deadline that fires while a request
-// waits in the queue to errs.ErrCanceled with context.DeadlineExceeded
-// (HTTP 504) — the job is skipped, never executed.
+// Config.MaxBatch) into one shapelet-transform pass over the version's
+// immutable dist.Batch, which every concurrent request shares; per-model
+// pools isolate a hot model from starving the others.  Overload is explicit
+// and typed: a full queue maps to errs.ErrOverload (HTTP 429), a draining
+// server or retired model to errs.ErrUnavailable (HTTP 503), and a deadline
+// that fires while a request waits in the queue to errs.ErrCanceled with
+// context.DeadlineExceeded (HTTP 504) — the job is skipped, never executed.
 //
 // Observability rides the existing obs layer: per-route latency histograms
 // with streaming p50/p95/p99, admission and batching counters, and — when
@@ -33,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ips/internal/dist"
 	"ips/internal/obs"
 )
 
@@ -65,13 +63,6 @@ type Config struct {
 	// ingest (default 1<<20).  An append that would exceed it is refused
 	// whole with a typed 429 before any state changes.
 	MaxStreamPoints int
-	// Precision selects the distance-kernel arithmetic width for every
-	// transform the server runs.  The float64 zero value keeps responses
-	// byte-identical to the offline pipeline; dist.PrecisionFloat32 opts into
-	// the single-precision throughput variant within documented tolerance.
-	// Applies to versions registered after the change (versions bind their
-	// precision at load).
-	Precision dist.Precision
 	// Obs receives metrics (route histograms, admission counters) and the
 	// admin-operation spans.  Nil means observability off; the serving path
 	// then updates nothing.

@@ -43,11 +43,9 @@ type DriftConfig struct {
 	MinSamples int
 }
 
-// Config configures a Stream.  A Stream always evaluates in float64 on the
-// engine's per-length kernel choice: delta-evaluation's exactness needs
-// per-window values that are pure functions of window contents, which the
-// float32 variant's rolling accumulation does not guarantee across
-// different evaluation extents.
+// Config configures a Stream.  Its features come from the engine's
+// per-length kernel choice, whose byte-identity to ts.Dist is what keeps
+// the delta transform exact (see the package doc).
 type Config struct {
 	// Window is the matrix-profile window length (required, >= 1).
 	Window int

@@ -167,8 +167,16 @@ func Evaluate(ctx context.Context, train, test *Dataset, opt Options) (float64, 
 }
 
 // Transform embeds every instance into shapelet-distance space (Def. 7).
-// Cancelling ctx returns an error matching ErrCanceled.
+// A nil or empty dataset, an empty instance or a NaN/Inf value returns an
+// error matching ErrBadInput.  Cancelling ctx returns an error matching
+// ErrCanceled.
 func Transform(ctx context.Context, d *Dataset, shapelets []Shapelet) ([][]float64, error) {
+	if d == nil {
+		return nil, errs.BadInput(errs.StageTransform, "transform", "", "nil dataset")
+	}
+	if err := d.Validate(false); err != nil {
+		return nil, errs.BadInputErr(errs.StageTransform, "transform", d.Name, err)
+	}
 	return classify.TransformWith(ctx, d, shapelets, classify.TransformConfig{})
 }
 

@@ -2,6 +2,7 @@ package ips
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 )
@@ -60,6 +61,16 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	}
 	if len(X) != test.Len() || len(X[0]) != len(model.Shapelets) {
 		t.Fatalf("transform shape = %dx%d", len(X), len(X[0]))
+	}
+}
+
+// TestTransformNilDataset pins Transform to Model.Predict's input contract
+// for a nil dataset: a typed ErrBadInput, not a panic.  The fault matrix in
+// internal/faulty drives Transform through the other bad inputs.
+func TestTransformNilDataset(t *testing.T) {
+	X, err := Transform(context.Background(), nil, []Shapelet{{Values: Series{0, 1, 0}}})
+	if !errors.Is(err, ErrBadInput) || X != nil {
+		t.Fatalf("Transform(nil) = %v, %v; want nil and an ErrBadInput error", X, err)
 	}
 }
 
