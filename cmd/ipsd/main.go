@@ -1,7 +1,7 @@
 // Command ipsd is the IPS model-serving daemon: it loads trained models
 // saved by `ips -save` into a versioned in-memory registry and serves
 // classification and shapelet-transform requests over HTTP, with per-model
-// request batching, typed backpressure, and live observability.
+// admission control, typed backpressure, and live observability.
 //
 // Usage:
 //
@@ -32,9 +32,8 @@
 //	-addr ADDR          listen address (default :8080)
 //	-model NAME=PATH    load a model file under NAME at startup (repeatable)
 //	-alias ALIAS=NAME   route ALIAS to NAME (repeatable, after -model)
-//	-queue N            per-model admission queue depth (default 256)
-//	-batch N            max requests coalesced into one batch (default 64)
-//	-workers N          worker goroutines per model (default 1)
+//	-queue N            requests that may wait per model (default 256)
+//	-workers N          requests evaluating at once per model (default 1)
 //	-timeout D          default per-request deadline (default 10s)
 //	-max-timeout D      cap on client-requested deadlines (default 60s)
 //	-max-body N         request body cap in bytes (default 16 MiB)
@@ -51,8 +50,9 @@
 //	-log-json           emit structured logs as JSON instead of text
 //
 // On SIGINT/SIGTERM the daemon drains: /healthz flips to 503, new eval
-// requests are refused typed, in-flight and queued work completes (bounded
-// by -drain-timeout), then the process exits 0.
+// requests are refused typed, admitted work completes (bounded by
+// -drain-timeout), then the process exits 0.  The signal only starts the
+// drain; it cancels no request.
 package main
 
 import (
@@ -98,9 +98,8 @@ func run() int {
 	flag.Var(models, "model", "load a model file under NAME at startup, as NAME=PATH (repeatable)")
 	aliases := &pairList{what: "ALIAS=NAME"}
 	flag.Var(aliases, "alias", "route ALIAS to model NAME, as ALIAS=NAME (repeatable)")
-	queue := flag.Int("queue", 256, "per-model admission queue depth")
-	batch := flag.Int("batch", 64, "max requests coalesced into one batch")
-	workers := flag.Int("workers", 1, "worker goroutines per model")
+	queue := flag.Int("queue", 256, "requests that may wait per model")
+	workers := flag.Int("workers", 1, "requests evaluating at once per model")
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
 	maxBody := flag.Int64("max-body", 16<<20, "request body cap in bytes")
@@ -126,9 +125,8 @@ func run() int {
 	defer stop()
 
 	o := obs.New("ipsd")
-	s := serve.NewServer(ctx, serve.Config{
+	s, hs := newDaemon(ctx, *addr, serve.Config{
 		QueueDepth:      *queue,
-		MaxBatch:        *batch,
 		WorkersPerModel: *workers,
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
@@ -162,14 +160,6 @@ func run() int {
 		obs.Log(ctx).Info("debug server up", "addr", bound)
 	}
 
-	mux := http.NewServeMux()
-	s.Mount(mux)
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		BaseContext:       func(net.Listener) context.Context { return ctx },
-	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ipsd:", err)
@@ -188,8 +178,8 @@ func run() int {
 	}
 
 	// Graceful drain: flip admission to 503, let the listener finish
-	// in-flight requests, then stop the worker pools (which flush whatever
-	// is still queued), all under the drain budget.
+	// in-flight requests, then close the server (which waits for every
+	// admitted request), all under the drain budget.
 	obs.Log(ctx).Info("draining", "budget", drainTimeout.String())
 	s.StartDrain()
 	shutdownCtx, cancel := context.WithTimeout(obs.WithLogger(context.Background(), logger), *drainTimeout)
@@ -205,4 +195,22 @@ func run() int {
 	flight.Stop()
 	obs.Log(ctx).Info("drained cleanly")
 	return 0
+}
+
+// newDaemon builds the serving stack: the serve.Server and the http.Server
+// that mounts its routes.  Both run under context.WithoutCancel(ctx), which
+// keeps ctx's logger but not its cancellation, so the shutdown signal
+// cancelling ctx only starts the drain: admitted requests and bodies still
+// being read complete.
+func newDaemon(ctx context.Context, addr string, cfg serve.Config) (*serve.Server, *http.Server) {
+	base := context.WithoutCancel(ctx)
+	s := serve.NewServer(base, cfg)
+	mux := http.NewServeMux()
+	s.Mount(mux)
+	return s, &http.Server{
+		Addr:              addr,
+		Handler:           mux,
+		ReadHeaderTimeout: 10 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return base },
+	}
 }

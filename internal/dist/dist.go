@@ -3,8 +3,8 @@
 // queries over the same series and keep each minimum", and the per-pair
 // ts.Dist loop recomputes window statistics from scratch for every pair.
 // This package precomputes a per-series prepared form once — prefix sums of
-// t and t² — shares it across every query against that series, and picks a
-// kernel per query length.  The kernels differ only in how they compute the
+// t² — shares it across every query against that series, and picks a kernel
+// per query length.  The kernels differ only in how they compute the
 // sliding dot products Σ_l q[l]·t[j+l] of a query against every window:
 //
 //   - rolling: directly, in register blocks of several consecutive windows
@@ -127,14 +127,13 @@ func chooseKernel(m, n int) Kernel {
 	return KernelRolling
 }
 
-// Prepared is the per-series prepared form: prefix sums of t and t² computed
-// once and shared by every query evaluated against the series, plus a cache
+// Prepared is the per-series prepared form: prefix sums of t² computed once
+// and shared by every query evaluated against the series, plus a cache
 // of padded forward FFTs keyed by transform size.  Prepared aliases the
 // series it was built from (the caller must not mutate it) and is safe for
 // concurrent use.
 type Prepared struct {
 	t        []float64
-	prefix   []float64 // prefix[i]   = Σ_{k<i} t[k]
 	prefixSq []float64 // prefixSq[i] = Σ_{k<i} t[k]²
 	finite   bool      // every value and the Σt² accumulator are finite
 	// noFFT marks a scratch-prepared series (see Scratch.Prepare): padded
@@ -149,13 +148,8 @@ type Prepared struct {
 // Prepare builds the prepared form of t in O(n).  The returned value aliases
 // t; it must not be mutated while the Prepared is in use.
 func Prepare(t []float64) *Prepared {
-	p := &Prepared{
-		t:        t,
-		prefix:   make([]float64, len(t)+1),
-		prefixSq: make([]float64, len(t)+1),
-	}
+	p := &Prepared{t: t, prefixSq: make([]float64, len(t)+1)}
 	for i, v := range t {
-		p.prefix[i+1] = p.prefix[i] + v
 		p.prefixSq[i+1] = p.prefixSq[i] + v*v
 	}
 	p.finite = finiteTotal(p.prefixSq[len(t)])
@@ -164,7 +158,7 @@ func Prepare(t []float64) *Prepared {
 
 // finiteTotal reports whether the Σt² accumulator is finite.  Squares are
 // non-negative, so a NaN anywhere or an overflow to +Inf both surface in the
-// final accumulator; plain sums cannot overflow when the squared sums do not.
+// final accumulator.
 func finiteTotal(total float64) bool {
 	return !math.IsNaN(total) && !math.IsInf(total, 0)
 }
@@ -174,11 +168,6 @@ func (p *Prepared) Len() int { return len(p.t) }
 
 // Series returns the underlying series (aliased, read-only by convention).
 func (p *Prepared) Series() []float64 { return p.t }
-
-// WindowSum returns Σ t[j:j+m] in O(1) from the prefix sums.
-func (p *Prepared) WindowSum(j, m int) float64 {
-	return p.prefix[j+m] - p.prefix[j]
-}
 
 // WindowSqSum returns Σ t[j:j+m]² in O(1) from the prefix sums, clamped to
 // be non-negative against prefix-difference round-off.

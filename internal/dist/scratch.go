@@ -35,17 +35,13 @@ type Scratch struct {
 func (s *Scratch) Prepare(t []float64) *Prepared {
 	p := &s.prep
 	n := len(t)
-	if cap(p.prefix) < n+1 {
-		p.prefix = make([]float64, n+1)
+	if cap(p.prefixSq) < n+1 {
 		p.prefixSq = make([]float64, n+1)
 	}
-	p.prefix = p.prefix[:n+1]
 	p.prefixSq = p.prefixSq[:n+1]
 	p.t = t
-	p.prefix[0] = 0
 	p.prefixSq[0] = 0
 	for i, v := range t {
-		p.prefix[i+1] = p.prefix[i] + v
 		p.prefixSq[i+1] = p.prefixSq[i] + v*v
 	}
 	p.finite = finiteTotal(p.prefixSq[n])

@@ -50,7 +50,7 @@ const (
 	// StageBench covers the experiment harness.
 	StageBench Stage = "bench"
 	// StageServe covers the model-serving daemon (internal/serve): request
-	// admission, the batching gate, and the model registry.
+	// admission, the per-model gate, and the model registry.
 	StageServe Stage = "serve"
 	// StageStream covers online ingest (internal/stream): incremental
 	// profile maintenance, delta shapelet transform, and drift detection.

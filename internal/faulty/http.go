@@ -52,6 +52,29 @@ func SlowBody(data []byte, gap time.Duration) io.Reader {
 	return &slowReader{data: data, gap: gap}
 }
 
+// stalledReader delivers head in one read, then pauses before every later
+// read (tail, then io.EOF): a client that sends its whole JSON document and
+// then stalls mid-body before the tail.
+type stalledReader struct {
+	head, tail []byte
+	stall      time.Duration
+}
+
+func (s *stalledReader) Read(p []byte) (int, error) {
+	if len(s.head) > 0 {
+		n := copy(p, s.head)
+		s.head = s.head[n:]
+		return n, nil
+	}
+	time.Sleep(s.stall)
+	if len(s.tail) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.tail)
+	s.tail = s.tail[n:]
+	return n, nil
+}
+
 // HTTPFaults returns the serving fault matrix.  The classify and transform
 // routes share a decode path, so the matrix applies to both.
 func HTTPFaults() []HTTPFault {
@@ -126,6 +149,19 @@ func HTTPFaults() []HTTPFault {
 				return SlowBody([]byte(`{"instances":[[1.0,2.0,3.0,4.0]]}`), 40*time.Millisecond)
 			},
 			Timeout:    150 * time.Millisecond,
+			WantStatus: 504,
+			WantClass:  "canceled",
+		},
+		{
+			// The whole JSON document arrives, then the body's tail stalls
+			// past the deadline: the deadline firing during the
+			// trailing-data check is a 504, not a malformed body.
+			Name:        "stalled-tail",
+			ContentType: jsonCT,
+			Body: func() io.Reader {
+				return &stalledReader{head: []byte(`{"instances":[[1.0,2.0,3.0,4.0]]}`), tail: []byte("\n"), stall: 300 * time.Millisecond}
+			},
+			Timeout:    100 * time.Millisecond,
 			WantStatus: 504,
 			WantClass:  "canceled",
 		},

@@ -1,6 +1,7 @@
 // Package fft implements the radix-2 Cooley–Tukey fast Fourier transform
-// used by the MASS distance-profile algorithm in package mp.  Inputs whose
-// length is not a power of two are zero-padded by the convolution helpers.
+// behind the fft kernel of the Def. 4 distance engine (internal/dist): FT
+// holds a series' padded forward transform, and FT.SlidingDotsInto slides a
+// query over it in O(n log n).  Transform lengths must be powers of two.
 package fft
 
 import (
@@ -89,37 +90,6 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// Convolve returns the linear convolution of a and b (length
-// len(a)+len(b)-1) computed via FFT in O(N log N).
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	outLen := len(a) + len(b) - 1
-	n := NextPow2(outLen)
-	fa := make([]complex128, n)
-	fb := make([]complex128, n)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	// Lengths are powers of two by construction, so the unchecked core
-	// applies directly.
-	dft(fa, false)
-	dft(fb, false)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	idft(fa)
-	out := make([]float64, outLen)
-	for i := range out {
-		out[i] = real(fa[i])
-	}
-	return out
-}
-
 // FT is the forward transform of a real series zero-padded to a fixed
 // power-of-two length, precomputed once and reused across convolutions.
 // Batch callers that slide many queries against the same series (the Def. 4
@@ -194,24 +164,4 @@ func (f *FT) SlidingDotsInto(q, out []float64, scratch []complex128) ([]complex1
 		out[j] = real(scratch[m-1+j])
 	}
 	return scratch, nil
-}
-
-// SlidingDots returns the dot product of q against every length-|q| window
-// of t, computed by FFT convolution in O(N log N): reverse q, convolve, and
-// read the aligned segment.  Equivalent to ts.SlidingDots but asymptotically
-// faster for long queries.
-func SlidingDots(q, t []float64) []float64 {
-	m := len(q)
-	n := len(t) - m + 1
-	if n <= 0 {
-		return nil
-	}
-	rq := make([]float64, m)
-	for i, v := range q {
-		rq[m-1-i] = v
-	}
-	conv := Convolve(rq, t)
-	out := make([]float64, n)
-	copy(out, conv[m-1:m-1+n])
-	return out
 }

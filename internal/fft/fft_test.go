@@ -111,22 +111,6 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-func TestConvolve(t *testing.T) {
-	got := Convolve([]float64{1, 2, 3}, []float64{0, 1, 0.5})
-	want := []float64{0, 1, 2.5, 4, 1.5}
-	if len(got) != len(want) {
-		t.Fatalf("conv len = %d", len(got))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("conv[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if Convolve(nil, []float64{1}) != nil {
-		t.Fatal("empty input should give nil")
-	}
-}
-
 func TestSlidingDotsMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, tc := range []struct{ m, n int }{{3, 10}, {16, 200}, {50, 51}} {
@@ -138,19 +122,27 @@ func TestSlidingDotsMatchesDirect(t *testing.T) {
 		for i := range series {
 			series[i] = rng.NormFloat64()
 		}
-		got := SlidingDots(q, series)
-		want := ts.SlidingDots(q, series)
-		if len(got) != len(want) {
-			t.Fatalf("len %d vs %d", len(got), len(want))
+		f, err := NewFT(series, NextPow2(tc.n+tc.m-1))
+		if err != nil {
+			t.Fatal(err)
 		}
+		got := make([]float64, tc.n-tc.m+1)
+		if _, err := f.SlidingDotsInto(q, got, nil); err != nil {
+			t.Fatal(err)
+		}
+		want := ts.SlidingDots(q, series)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-8 {
 				t.Fatalf("m=%d n=%d dots[%d]: %v vs %v", tc.m, tc.n, i, got[i], want[i])
 			}
 		}
 	}
-	if SlidingDots([]float64{1, 2, 3}, []float64{1}) != nil {
-		t.Fatal("query longer than series should give nil")
+	f, err := NewFT([]float64{1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.SlidingDotsInto([]float64{1, 2, 3}, make([]float64, 1), nil); err == nil {
+		t.Fatal("query longer than series should be rejected")
 	}
 }
 

@@ -89,46 +89,6 @@ func FuzzSelfJoin(f *testing.F) {
 	})
 }
 
-// FuzzMASS asserts that the FFT-based distance profile never emits NaN or
-// negative values: every entry is finite and non-negative for any finite
-// query/series pair, including constant queries and sub-window series.
-func FuzzMASS(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add(make([]byte, 8*4), make([]byte, 8*16)) // constant query and series
-	q := make([]byte, 8*8)
-	s := make([]byte, 8*64)
-	for i := range q {
-		q[i] = byte(i * 13)
-	}
-	for i := range s {
-		s[i] = byte(i * 7)
-	}
-	f.Add(q, s)
-	f.Fuzz(func(t *testing.T, qb, tb []byte) {
-		if len(qb) > 8*64 || len(tb) > 8*1024 {
-			return
-		}
-		query := fuzzSeries(qb)
-		series := fuzzSeries(tb)
-		prof := MASS(query, series)
-		wantLen := len(series) - len(query) + 1
-		if len(query) == 0 || wantLen <= 0 {
-			if prof != nil {
-				t.Fatalf("degenerate input produced %d entries", len(prof))
-			}
-			return
-		}
-		if len(prof) != wantLen {
-			t.Fatalf("profile length %d, want %d", len(prof), wantLen)
-		}
-		for i, v := range prof {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				t.Fatalf("prof[%d] = %v, want finite non-negative", i, v)
-			}
-		}
-	})
-}
-
 // FuzzIncremental cross-checks the STOMPI append path against a fresh
 // SelfJoinCtx recompute: for an arbitrary finite series, an arbitrary window,
 // and an arbitrary seed/append split point, the incrementally maintained

@@ -44,6 +44,25 @@ func (p *Profile) MaxIndex() (int, float64) {
 	return best, bestV
 }
 
+// TopMotifs returns up to k motif pairs of the profile: positions whose
+// nearest-neighbour distances are smallest, each paired with its neighbour,
+// with an exclusion zone of half the window between reported positions.
+func (p *Profile) TopMotifs(k int) [][2]int {
+	idxs := p.TopK(k, false, p.W/2)
+	out := make([][2]int, 0, len(idxs))
+	for _, i := range idxs {
+		out = append(out, [2]int{i, p.I[i]})
+	}
+	return out
+}
+
+// TopDiscords returns up to k discord positions of the profile: positions
+// whose nearest-neighbour distances are largest, with an exclusion zone of
+// half the window.
+func (p *Profile) TopDiscords(k int) []int {
+	return p.TopK(k, true, p.W/2)
+}
+
 // TopK returns the indices of the k smallest (largest=false) or largest
 // (largest=true) finite profile values, enforcing an exclusion zone of
 // excl positions between any two reported indices so that trivially

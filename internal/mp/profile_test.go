@@ -294,6 +294,36 @@ func TestTopKExclusion(t *testing.T) {
 // many CPUs as workers (compare with runtime.GOMAXPROCS); determinism does
 // not — every cell is byte-identical regardless (TestSelfJoinPropertyWorkers).
 // The CI scaling gate reads the eight N=16384 cells.
+func TestTopMotifsAndDiscords(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	// Near-periodic background: every window has a close neighbour one
+	// period away, so nearest-neighbour distances are small by default.
+	series := make([]float64, 300)
+	for i := range series {
+		series[i] = math.Sin(float64(i)/5) + 0.05*rng.NormFloat64()
+	}
+	motif := []float64{0, 3, 6, 3, 0, -3, -6, -3}
+	copy(series[50:], motif)
+	copy(series[200:], motif)
+	// A one-off irregular segment is the discord: its shape (not its
+	// amplitude — z-normalisation removes that) occurs nowhere else.
+	discordShape := []float64{0, 4, -3, 5, -4, 2, -5, 3}
+	copy(series[120:], discordShape)
+	p := selfJoin(t, series, len(motif), nil, 1)
+	motifs := p.TopMotifs(1)
+	if len(motifs) != 1 {
+		t.Fatalf("motifs = %v", motifs)
+	}
+	a, b := motifs[0][0], motifs[0][1]
+	if !(near(a, 50, 2) || near(a, 200, 2)) || !(near(b, 50, 2) || near(b, 200, 2)) {
+		t.Fatalf("motif pair = (%d,%d), want near 50/200", a, b)
+	}
+	discords := p.TopDiscords(1)
+	if len(discords) != 1 || !near(discords[0], 120, 10) {
+		t.Fatalf("discords = %v, want near 120", discords)
+	}
+}
+
 func BenchmarkSelfJoin(b *testing.B) {
 	for _, size := range [][2]int{{1000, 50}, {4096, 128}, {16384, 64}, {16384, 256}} {
 		n, w := size[0], size[1]

@@ -154,50 +154,23 @@ func finishTiles(ctx context.Context, parts []*partial, p *Profile, op string) (
 	return p, nil
 }
 
-// parallelMergeMin is the profile length below which the min-merge stays
-// sequential: under it the per-position work is too small to pay for
-// goroutine startup and the barrier.
-const parallelMergeMin = 4096
-
 // mergePartials min-reduces the partial profiles into prof (squared
-// distances), then converts to distances in place.  Each output position is
-// computed independently from the same partials under the same total order
-// as partial.update, so the reduction parallelises over contiguous position
-// chunks — one per merging goroutine — with a result independent of the
-// worker count, the tile schedule, and the chunking.
+// distances), then converts to distances in place, under the same total
+// order as partial.update, so the result is independent of the worker count
+// and the tile schedule.
 func mergePartials(parts []*partial, prof *Profile) {
-	n := len(prof.P)
-	workers := len(parts)
-	if workers <= 1 || n < parallelMergeMin {
-		mergeRange(parts, prof, 0, n)
-	} else {
-		chunk := (n + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				mergeRange(parts, prof, lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+	mergeRange(parts, prof)
 	for _, pt := range parts {
 		putPartial(pt)
 	}
 }
 
-// mergeRange min-reduces positions [lo, hi) of the partials into prof.
-// Runs once per output position across the whole profile — it must not
-// allocate.
+// mergeRange min-reduces every position of the partials into prof.  Runs
+// once per output position across the whole profile — it must not allocate.
 //
 //ips:hotpath
-func mergeRange(parts []*partial, prof *Profile, lo, hi int) {
-	for pos := lo; pos < hi; pos++ {
+func mergeRange(parts []*partial, prof *Profile) {
+	for pos := range prof.P {
 		best, bestIdx := math.Inf(1), -1
 		for _, pt := range parts {
 			d, idx := pt.p[pos], pt.i[pos]

@@ -3,67 +3,37 @@ package serve
 import (
 	"context"
 	"testing"
-	"time"
 
 	"ips/internal/obs"
 	"ips/internal/ts"
 )
 
-// TestServeExecAllocs pins the serving layer's arena contract: once a gate
-// worker's scratch is warm, executing a classify batch group allocates
-// nothing — the request series is scratch-prepared, the embedding evaluates
-// into reusable row buffers, predictions append into the job's
-// admission-preallocated storage, and every metric handle was resolved at
-// gate construction.  Runs with observability ON, so the assertion covers
-// the counters and the latency histogram too.
+// TestServeExecAllocs pins the serving layer's arena contract: once a
+// token's arena is warm, a classify request through the gate allocates
+// nothing — admission and the token wait take no memory, the request series
+// is scratch-prepared, the embedding evaluates into the arena's reusable row
+// buffers, predictions land in the caller's storage, and every metric handle
+// was resolved at gate construction.  Runs with observability ON, so the
+// assertion covers the counters and the latency histogram too.
 func TestServeExecAllocs(t *testing.T) {
-	m, train := testModel(t)
-	s := NewServer(context.Background(), Config{Obs: obs.New("alloc-test")})
-	if _, err := s.Register(context.Background(), "planted", "test", m); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := s.Close(ctx); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
-	sl, err := s.reg.resolve("planted")
-	if err != nil {
-		t.Fatalf("resolve: %v", err)
-	}
-	g := sl.gate
+	_, train := testModel(t)
+	_, g := gateServer(t, Config{Obs: obs.New("alloc-test")})
 
-	// The job is built once outside the measured loop, exactly as a handler
-	// builds it at admission: result storage preallocated, done buffered.
-	j := &job{
-		ctx:       context.Background(),
-		kind:      kindClassify,
-		instances: []ts.Series{train.Instances[0].Values, train.Instances[1].Values},
-		preds:     make([]int, 0, 2),
-		done:      make(chan jobResult, 1),
-	}
-	es := &execScratch{group: make([]*job, 0, s.cfg.MaxBatch)}
-	group := append(es.group, j)
-	es.group = group
-
-	var execErr error
+	// The request is built once outside the measured loop, exactly as a
+	// handler builds it: result storage allocated before the gate.
+	instances := []ts.Series{train.Instances[0].Values, train.Instances[1].Values}
+	preds := make([]int, len(instances))
+	var evalErr error
 	run := func() {
-		g.exec(group, es)
-		res := <-j.done
-		if res.err != nil {
-			execErr = res.err
+		if _, err := g.eval(context.Background(), instances, preds, nil); err != nil {
+			evalErr = err
 		}
 	}
-	run() // warm-up: scratch buffers grow, metric names intern
+	run() // warm-up: arena buffers grow, metric names intern
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-		t.Errorf("serve classify exec: %v allocs/run after warm-up, want 0", allocs)
+		t.Errorf("serve classify eval: %v allocs/run after warm-up, want 0", allocs)
 	}
-	if execErr != nil {
-		t.Fatalf("exec: %v", execErr)
-	}
-	if len(j.preds) != 2 {
-		t.Fatalf("preds = %v, want 2 predictions", j.preds)
+	if evalErr != nil {
+		t.Fatalf("eval: %v", evalErr)
 	}
 }

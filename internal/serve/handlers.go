@@ -32,12 +32,8 @@ import (
 // application/json ({"instances": [[...], ...]}) and text/tab-separated-values
 // (the UCR TSV layout: label first — ignored here — then the values).
 func (s *Server) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/classify", func(w http.ResponseWriter, r *http.Request) {
-		s.handleEval(w, r, kindClassify, "classify")
-	})
-	mux.HandleFunc("POST /v1/transform", func(w http.ResponseWriter, r *http.Request) {
-		s.handleEval(w, r, kindTransform, "transform")
-	})
+	mux.HandleFunc("POST /v1/classify", s.handleClassify)
+	mux.HandleFunc("POST /v1/transform", s.handleTransform)
 	mux.HandleFunc("POST /v1/stream", s.handleStream)
 	mux.HandleFunc("DELETE /v1/stream", s.handleStreamDelete)
 	mux.HandleFunc("GET /admin/models", s.handleModelsGet)
@@ -71,11 +67,21 @@ type evalRequest struct {
 	Instances [][]float64 `json:"instances"`
 }
 
+// handleClassify serves POST /v1/classify.
+func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
+	s.handleEval(w, r, "classify")
+}
+
+// handleTransform serves POST /v1/transform.
+func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
+	s.handleEval(w, r, "transform")
+}
+
 // handleEval is the shared classify/transform path: resolve the model, put a
-// deadline on the request, decode and validate the body, admit through the
-// model's batching gate, and wait for the worker's result or the deadline —
-// whichever comes first.
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, kind jobKind, route string) {
+// deadline on the request, decode and validate the body, then evaluate it on
+// this goroutine through the model's gate.  The route picks the result:
+// predictions for "classify", feature rows for "transform".
+func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, route string) {
 	sw := obs.NewStopwatch()
 	status := http.StatusOK
 	defer func() {
@@ -101,6 +107,9 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, kind jobKind
 		return
 	}
 	defer cancel()
+	// Close's hard stop cancels the request too, waiting or evaluating.
+	stop := context.AfterFunc(s.base, cancel)
+	defer stop()
 
 	sl, err := s.reg.resolve(name)
 	if err != nil {
@@ -118,31 +127,23 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, kind jobKind
 		return
 	}
 
-	j := &job{ctx: ctx, kind: kind, instances: instances, done: make(chan jobResult, 1)}
-	if kind == kindClassify {
-		// Result storage is allocated here, at admission, so the gate's
-		// steady-state exec loop stays allocation-free.
-		j.preds = make([]int, 0, len(instances))
+	var preds []int
+	var rows [][]float64
+	if route == "classify" {
+		preds = make([]int, len(instances))
+	} else {
+		rows = make([][]float64, len(instances))
 	}
-	if err := sl.gate.admit(j); err != nil {
+	ver, err := sl.gate.eval(ctx, instances, preds, rows)
+	if err != nil {
 		status = writeError(ctx, w, err)
 		return
 	}
-	select {
-	case res := <-j.done:
-		if res.err != nil {
-			status = writeError(ctx, w, res.err)
-			return
-		}
-		switch kind {
-		case kindClassify:
-			writeJSON(ctx, w, http.StatusOK, classifyResponse{Model: name, Version: res.version, Predictions: res.preds})
-		case kindTransform:
-			writeJSON(ctx, w, http.StatusOK, transformResponse{Model: name, Version: res.version, Features: res.rows})
-		}
-	case <-ctx.Done():
-		status = writeError(ctx, w, errs.Canceled(errs.StageServe, "serve."+route, name, ctx.Err()))
+	if preds != nil {
+		writeJSON(ctx, w, http.StatusOK, classifyResponse{Model: name, Version: ver, Predictions: preds})
+		return
 	}
+	writeJSON(ctx, w, http.StatusOK, transformResponse{Model: name, Version: ver, Features: rows})
 }
 
 // decodeInstances reads and validates the request body under the size cap,
@@ -163,8 +164,13 @@ func decodeInstances(ctx context.Context, w http.ResponseWriter, r *http.Request
 		if err := dec.Decode(&req); err != nil {
 			return nil, decodeErr(ctx, err)
 		}
-		// Trailing garbage after the JSON document is a malformed body too.
+		// Trailing garbage after the JSON document is a malformed body too,
+		// but a deadline that fires while the tail is read is still a
+		// cancellation.
 		if err := dec.Decode(&struct{}{}); err != io.EOF {
+			if ctx.Err() != nil {
+				return nil, decodeErr(ctx, err)
+			}
 			return nil, errs.BadInput(errs.StageServe, "serve.decode", "", "trailing data after JSON body")
 		}
 		for _, row := range req.Instances {

@@ -12,26 +12,24 @@ import (
 	"ips/internal/obs"
 )
 
-// version is one immutable loaded model version.  Everything a batch needs
-// — the model and its prepared-statistics cache — hangs off this struct, so
-// resolving the slot's atomic pointer once per batch group is the whole
+// version is one immutable loaded model version.  Everything an evaluation
+// needs — the model and its prepared shapelet batch — hangs off this struct,
+// so resolving the slot's atomic pointer once per request is the whole
 // consistency story: a hot-swap publishes a new *version in a single store
-// and in-flight groups keep (and drain on) the one they resolved.
+// and in-flight requests keep (and drain on) the one they resolved.
 type version struct {
 	id     int64
 	source string
 	model  *core.Model
 	// batch is the version's shapelet queries grouped by length and prepared
-	// exactly once — the "keep prepared statistics resident" amortization the
-	// batching gate exists for.  Every request served by this version
-	// evaluates against it with a worker-owned dist.Scratch, so the
-	// steady-state classify loop allocates nothing and retains nothing per
-	// request.
+	// exactly once.  Every request served by this version evaluates against
+	// it with a token-owned dist.Scratch, so the steady-state classify path
+	// allocates nothing and retains nothing per request.
 	batch *dist.Batch
 }
 
 // slot is one model name: an atomically swappable current version plus the
-// admission gate, which survives swaps so queued requests ride through a
+// admission gate, which survives swaps so waiting requests ride through a
 // deploy untouched.
 type slot struct {
 	name    string
@@ -68,10 +66,10 @@ type ModelInfo struct {
 }
 
 // Register publishes m as the next version of name, creating the slot (and
-// starting its worker pool) on first sight and atomically hot-swapping on a
-// reload.  The old version is not torn down: batch groups that already
-// resolved it finish on it, and it is garbage once they drain.  Registering
-// over a retired name revives it.
+// its gate) on first sight and atomically hot-swapping on a reload.  The old
+// version is not torn down: requests that already resolved it finish on it,
+// and it is garbage once they drain.  Registering over a retired name
+// revives it.
 func (s *Server) Register(ctx context.Context, name, source string, m *core.Model) (ModelInfo, error) {
 	if name == "" {
 		return ModelInfo{}, errs.BadInput(errs.StageServe, "serve.register", "", "empty model name")
@@ -87,8 +85,7 @@ func (s *Server) Register(ctx context.Context, name, source string, m *core.Mode
 			"%q is an alias; load under its canonical name", name)
 	}
 	sl := r.slots[name]
-	created := sl == nil
-	if created {
+	if sl == nil {
 		sl = &slot{name: name}
 		sl.gate = newGate(s, sl)
 		r.slots[name] = sl
@@ -103,15 +100,6 @@ func (s *Server) Register(ctx context.Context, name, source string, m *core.Mode
 	v := &version{id: sl.lastID.Add(1), source: source, model: m, batch: batch}
 	sl.cur.Store(v)
 	sl.retired.Store(false)
-	// The worker pool's lifetime is the server's, not this registering
-	// caller's: batches run on Server.base (cancelled by Close) and the stop
-	// channel joins the workers, so threading a request-scoped ctx here
-	// would tear down the pool when the admin request that loaded the model
-	// completes.
-	if created {
-		//lint:ignore ipslint/ctxflow workers outlive the caller; cancellation reaches batches via Server.base and the stop channel
-		sl.gate.start(s.cfg.WorkersPerModel)
-	}
 
 	met := s.metrics()
 	if v.id > 1 {
@@ -172,8 +160,9 @@ func (s *Server) Alias(ctx context.Context, alias, target string) (ModelInfo, er
 }
 
 // Retire stops serving name: admission starts refusing with a typed 503 and
-// queued requests for it fail the same way at execution.  The slot (and its
-// workers) stay, so a later Register revives the name with a fresh version.
+// requests still waiting for a token fail the same way once they get one.
+// The slot (and its gate) stay, so a later Register revives the name with a
+// fresh version.
 func (s *Server) Retire(ctx context.Context, name string) (ModelInfo, error) {
 	sl, err := s.reg.resolve(name)
 	if err != nil {
@@ -255,30 +244,17 @@ func (r *registry) activeCount() int {
 	return n
 }
 
-// stopGates signals every worker pool to flush and exit.
-func (r *registry) stopGates() {
+// closeGates closes admission on every gate and returns them, in model-name
+// order, for Close to wait on.  Slots are never deleted (retire keeps them
+// for revival), so the gates stay valid after the lock drops.
+func (r *registry) closeGates() []*gate {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	gates := make([]*gate, 0, len(r.slots))
 	for _, sl := range r.slots {
-		sl.gate.stopOnce()
+		sl.gate.close()
+		gates = append(gates, sl.gate)
 	}
-}
-
-// waitGates blocks until every worker has exited.  Slots are never deleted
-// (retire keeps them for revival), so the looked-up gates stay valid after
-// the lock drops.
-func (r *registry) waitGates() {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.slots))
-	for name := range r.slots {
-		names = append(names, name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	for _, name := range names {
-		r.mu.RLock()
-		sl := r.slots[name]
-		r.mu.RUnlock()
-		sl.gate.wg.Wait()
-	}
+	sort.Slice(gates, func(i, j int) bool { return gates[i].slot.name < gates[j].slot.name })
+	return gates
 }

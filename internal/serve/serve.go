@@ -1,28 +1,30 @@
 // Package serve is the model-serving layer behind cmd/ipsd: a versioned
-// in-memory model registry with atomic hot-swap, a per-model batching
-// admission gate, and stdlib net/http handlers for classification and
-// shapelet-transform requests.
+// in-memory model registry with atomic hot-swap, a per-model admission gate,
+// and stdlib net/http handlers for classification and shapelet-transform
+// requests.
 //
 // The serving path is built directly on the substrate the earlier PRs laid
 // down.  Saved models (core.LoadModelFile) load into registry slots whose
 // active version is an atomic pointer: a hot-swap publishes a fully built
-// immutable version in one store, in-flight batches keep the version they
+// immutable version in one store, in-flight requests keep the version they
 // resolved (old versions drain, they are never torn out from under a
-// request), and every batch group resolves the pointer exactly once so no
-// request can observe half of one model and half of another.
+// request), and every request resolves the pointer exactly once so it can
+// never observe half of one model and half of another.
 //
-// Requests are admitted through a bounded per-model queue drained by a
-// per-model worker pool.  Each worker coalesces whatever is queued (up to
-// Config.MaxBatch) into one shapelet-transform pass over the version's
-// immutable dist.Batch, which every concurrent request shares; per-model
-// pools isolate a hot model from starving the others.  Overload is explicit
-// and typed: a full queue maps to errs.ErrOverload (HTTP 429), a draining
-// server or retired model to errs.ErrUnavailable (HTTP 503), and a deadline
-// that fires while a request waits in the queue to errs.ErrCanceled with
-// context.DeadlineExceeded (HTTP 504) — the job is skipped, never executed.
+// Each request is evaluated on its own handler goroutine.  Classifying a
+// series is a pure function of the model version and that one series, so
+// requests share nothing but the version's immutable dist.Batch.  A
+// per-model gate bounds the work: a request takes one of WorkersPerModel
+// tokens (each token carries the arena the evaluation runs in), and at most
+// QueueDepth requests wait for one, so a hot model cannot starve the others.
+// Overload is explicit and typed: a full wait count maps to errs.ErrOverload
+// (HTTP 429), a draining server or retired model to errs.ErrUnavailable
+// (HTTP 503), and a deadline that fires while a request waits for a token to
+// errs.ErrCanceled with context.DeadlineExceeded (HTTP 504) — the request is
+// never executed.
 //
 // Observability rides the existing obs layer: per-route latency histograms
-// with streaming p50/p95/p99, admission and batching counters, and — when
+// with streaming p50/p95/p99, admission and evaluation counters, and — when
 // mounted by ipsd — the debug server's pprof/metrics/flight endpoints next
 // to the serving routes.
 package serve
@@ -38,15 +40,14 @@ import (
 // Config parameterises a Server.  The zero value serves with the defaults
 // noted on each field.
 type Config struct {
-	// QueueDepth bounds each model's admission queue (default 256).  A full
-	// queue rejects with a typed 429 instead of queueing without bound.
+	// QueueDepth bounds how many requests may wait for one of a model's
+	// tokens (default 256).  Past it a request is rejected with a typed 429
+	// instead of waiting without bound.
 	QueueDepth int
-	// MaxBatch caps how many queued requests one worker coalesces into a
-	// single transform pass (default 64).
-	MaxBatch int
-	// WorkersPerModel sizes each model's worker pool (default 1).  Workers
-	// parallelise across batch groups; within a group the transform runs
-	// sequentially, so responses are byte-identical for any value.
+	// WorkersPerModel is the number of a model's requests that may evaluate
+	// at once (default 1), each in its own reusable arena.  A request's
+	// instances evaluate sequentially, so responses are byte-identical for
+	// any value.
 	WorkersPerModel int
 	// DefaultTimeout is the per-request deadline when the client does not
 	// pass ?timeout_ms (default 10s).
@@ -67,19 +68,12 @@ type Config struct {
 	// admin-operation spans.  Nil means observability off; the serving path
 	// then updates nothing.
 	Obs *obs.Observer
-	// gateHold, when non-nil (tests only), makes every gate worker wait for
-	// one token per batch group, so tests can pile jobs into a queue and
-	// observe exactly how they coalesce.
-	gateHold chan struct{}
 }
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.WorkersPerModel <= 0 {
 		c.WorkersPerModel = 1
@@ -108,15 +102,14 @@ type Server struct {
 	cfg      Config
 	reg      *registry
 	streams  sessionTable
-	base     context.Context // lifetime context batch execution runs under
+	base     context.Context // cancelled by Close's hard stop
 	cancel   context.CancelFunc
 	draining atomic.Bool
 }
 
-// NewServer builds a server whose batch execution and worker lifetime hang
-// off ctx: cancelling it hard-stops in-flight work, while Close drains
-// gracefully first.  The logger carried by ctx (obs.WithLogger) becomes the
-// serving path's logger.
+// NewServer builds a server whose evaluations hang off ctx: cancelling it
+// hard-stops in-flight work, while Close drains gracefully first.  The
+// logger carried by ctx (obs.WithLogger) becomes the serving path's logger.
 func NewServer(ctx context.Context, cfg Config) *Server {
 	if ctx == nil {
 		ctx = context.Background()
@@ -136,18 +129,21 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // 503s and stop routing here.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Close drains and stops the server: admission closes (503), the per-model
-// workers flush whatever is still queued, and the call returns once every
-// worker has exited — or when ctx expires, in which case the remaining work
-// is hard-cancelled through the base context before returning ctx's error.
-// After Close the server no longer executes anything; requests still fail
-// typed (503), they do not hang.
+// Close drains and stops the server: admission closes (503), requests
+// already admitted — evaluating or waiting for a token — finish, and the
+// call returns once every one of them has returned.  When ctx expires
+// first, the remaining requests are hard-cancelled through the base context
+// (each answers a typed cancellation) and Close returns ctx's error once
+// they have.  After Close the server no longer executes anything; requests
+// still fail typed (503), they do not hang.
 func (s *Server) Close(ctx context.Context) error {
 	s.StartDrain()
-	s.reg.stopGates()
+	gates := s.reg.closeGates()
 	done := make(chan struct{})
 	go func() {
-		s.reg.waitGates()
+		for _, g := range gates {
+			g.wg.Wait()
+		}
 		close(done)
 	}()
 	defer s.cancel()
@@ -155,7 +151,7 @@ func (s *Server) Close(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		s.cancel() // hard-stop the in-flight batch work
+		s.cancel() // hard-stop the admitted requests
 		<-done
 		return ctx.Err()
 	}

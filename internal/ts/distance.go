@@ -62,52 +62,6 @@ func Dist(p, q []float64) float64 {
 	return best
 }
 
-// DistProfile returns the Def. 4 distance of q against every alignment inside
-// t, i.e. out[j] = (1/|q|) Σ (t[j+l]−q[l])².  It is computed with cumulative
-// sums and a single sliding dot product pass in O(|t|·|q|) worst case but with
-// the quadratic term vectorised; callers that need only the minimum should
-// use Dist, which early-abandons, and callers profiling many queries against
-// one series should use the batched engine in internal/dist.
-//
-// Degenerate inputs yield nil: a query longer than the series has no
-// alignment, and an empty query has no profile (every "alignment" of nothing
-// would divide by zero; Dist defines that case as distance 0 instead).
-func DistProfile(q, t []float64) []float64 {
-	m := len(q)
-	if m == 0 {
-		return nil
-	}
-	n := len(t) - m + 1
-	if n <= 0 {
-		return nil
-	}
-	// Σ (t−q)² = Σt² − 2Σtq + Σq².
-	var qq float64
-	for _, v := range q {
-		qq += v * v
-	}
-	// Rolling Σt² over windows.
-	out := make([]float64, n)
-	var tt float64
-	for i := 0; i < m; i++ {
-		tt += t[i] * t[i]
-	}
-	dots := SlidingDots(q, t)
-	fm := float64(m)
-	for j := 0; ; j++ {
-		d := tt - 2*dots[j] + qq
-		if d < 0 {
-			d = 0
-		}
-		out[j] = d / fm
-		if j+1 >= n {
-			break
-		}
-		tt += t[j+m]*t[j+m] - t[j]*t[j]
-	}
-	return out
-}
-
 // ZNormSqDistFromStats returns the z-normalised squared Euclidean distance of
 // two length-w subsequences given their sliding dot product qt, their means
 // and standard deviations.  This is the standard matrix-profile identity

@@ -1,46 +1,6 @@
 package ts
 
-import (
-	"math"
-	"testing"
-)
-
-// TestDistProfileEmptyQuery is the regression test for the degenerate-input
-// guard: an empty query used to divide by zero and emit a NaN/Inf profile of
-// length len(t)+1; it must yield nil, like a query longer than the series.
-func TestDistProfileEmptyQuery(t *testing.T) {
-	series := []float64{1, 2, 3, 4}
-	if got := DistProfile(nil, series); got != nil {
-		t.Fatalf("DistProfile(nil, t) = %v, want nil", got)
-	}
-	if got := DistProfile([]float64{}, series); got != nil {
-		t.Fatalf("DistProfile(empty, t) = %v, want nil", got)
-	}
-	if got := DistProfile(nil, nil); got != nil {
-		t.Fatalf("DistProfile(nil, nil) = %v, want nil", got)
-	}
-	// Over-long queries were already guarded; pin that too.
-	if got := DistProfile([]float64{1, 2, 3}, []float64{1, 2}); got != nil {
-		t.Fatalf("DistProfile(long, short) = %v, want nil", got)
-	}
-}
-
-// TestDistProfileFiniteOnTypicalInput pins the broader contract the guard
-// restores: for a non-empty query over finite data the profile has exactly
-// len(t)-len(q)+1 finite, non-negative entries.
-func TestDistProfileFiniteOnTypicalInput(t *testing.T) {
-	q := []float64{0.5, -1, 2}
-	series := []float64{1, 2, 3, 4, 5, 6}
-	prof := DistProfile(q, series)
-	if len(prof) != len(series)-len(q)+1 {
-		t.Fatalf("profile length = %d, want %d", len(prof), len(series)-len(q)+1)
-	}
-	for j, v := range prof {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			t.Fatalf("profile[%d] = %v, want finite non-negative", j, v)
-		}
-	}
-}
+import "testing"
 
 // TestDistAbandonedWindowNeverUpdates pins the early-abandon contract: the
 // returned minimum is always a fully-accumulated window sum.  The query

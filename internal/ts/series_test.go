@@ -214,46 +214,6 @@ func TestDistDef4(t *testing.T) {
 	}
 }
 
-func TestDistProfileMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	q := make([]float64, 9)
-	tt := make([]float64, 64)
-	for i := range q {
-		q[i] = rng.NormFloat64()
-	}
-	for i := range tt {
-		tt[i] = rng.NormFloat64()
-	}
-	prof := DistProfile(q, tt)
-	if len(prof) != len(tt)-len(q)+1 {
-		t.Fatalf("profile len = %d", len(prof))
-	}
-	minProf := math.Inf(1)
-	for j := range prof {
-		var s float64
-		for l := range q {
-			d := tt[j+l] - q[l]
-			s += d * d
-		}
-		naive := s / float64(len(q))
-		if !almostEqual(prof[j], naive, 1e-9) {
-			t.Fatalf("profile[%d] = %v, want %v", j, prof[j], naive)
-		}
-		if prof[j] < minProf {
-			minProf = prof[j]
-		}
-	}
-	if d := Dist(q, tt); !almostEqual(d, minProf, 1e-9) {
-		t.Fatalf("Dist = %v, min profile = %v", d, minProf)
-	}
-}
-
-func TestDistProfileDegenerate(t *testing.T) {
-	if p := DistProfile([]float64{1, 2, 3}, []float64{1}); p != nil {
-		t.Fatalf("query longer than series should give nil, got %v", p)
-	}
-}
-
 // Property: Dist is non-negative and zero when the query occurs verbatim.
 func TestDistProperties(t *testing.T) {
 	f := func(seed int64) bool {
