@@ -92,7 +92,7 @@ func main() {
 		defer cancel()
 	}
 
-	train, test, err := loadData(ctx, *dataset, *data, *trainPath, *testPath, *seed)
+	train, test, err := loadData(*dataset, *data, *trainPath, *testPath, *seed)
 	if err != nil {
 		obs.Log(ctx).Error("loading data failed", obs.ErrAttrs(err)...)
 		fmt.Fprintln(os.Stderr, "ips:", err)
@@ -263,19 +263,19 @@ func classifyWithSavedModel(ctx context.Context, path string, test *ips.Dataset)
 		100*float64(correct)/float64(test.Len()), test.Len())
 }
 
-func loadData(ctx context.Context, dataset, dataDir, trainPath, testPath string, seed int64) (train, test *ips.Dataset, err error) {
+func loadData(dataset, dataDir, trainPath, testPath string, seed int64) (train, test *ips.Dataset, err error) {
 	switch {
 	case trainPath != "" && testPath != "":
-		train, err = ucr.LoadTSVCtx(ctx, trainPath)
+		train, err = ucr.LoadTSV(trainPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		test, err = ucr.LoadTSVCtx(ctx, testPath)
+		test, err = ucr.LoadTSV(testPath)
 		return train, test, err
 	case dataset != "" && dataDir != "":
-		return ucr.LoadSplitCtx(ctx, dataDir, dataset)
+		return ucr.LoadSplit(dataDir, dataset)
 	case dataset != "":
-		return ucr.GenerateByNameCtx(ctx, dataset, ips.GenConfig{Seed: seed})
+		return ucr.GenerateByName(dataset, ips.GenConfig{Seed: seed})
 	default:
 		return nil, nil, fmt.Errorf("need -dataset, or -train and -test")
 	}

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"ips/internal/classify"
+	"ips/internal/core"
 	"ips/internal/errs"
 	"ips/internal/mp"
 	"ips/internal/ts"
@@ -128,66 +129,31 @@ func BaseDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg BaseConfig) ([]
 	return out, nil
 }
 
-// TrainShapeletClassifierCtx builds the shapelet-transform + linear-SVM
-// classifier used by every shapelet method in this repository, so accuracy
-// comparisons isolate the discovery step.  Cancellation reaches both the
-// transform's distance engine and the SVM training epochs.
-func TrainShapeletClassifierCtx(ctx context.Context, train *ts.Dataset, shapelets []classify.Shapelet, svmCfg classify.SVMConfig) (*ShapeletModel, error) {
-	if len(shapelets) == 0 {
-		return nil, errors.New("baselines: no shapelets")
-	}
-	X, err := classify.TransformWith(ctx, train, shapelets, classify.TransformConfig{})
-	if err != nil {
-		return nil, err
-	}
-	scaler, err := classify.FitScaler(X)
-	if err != nil {
-		return nil, err
-	}
-	svm, err := classify.TrainSVMCtx(ctx, scaler.Apply(X), train.Labels(), svmCfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &ShapeletModel{Shapelets: shapelets, Scaler: scaler, SVM: svm}, nil
-}
-
-// ShapeletModel is a trained shapelet-transform classifier.
-type ShapeletModel struct {
-	Shapelets []classify.Shapelet
-	Scaler    *classify.Scaler
-	SVM       *classify.SVM
-}
-
-// PredictCtx classifies every instance.  A cancelled context aborts the
-// shapelet transform and returns an error matching errs.ErrCanceled.
-func (m *ShapeletModel) PredictCtx(ctx context.Context, d *ts.Dataset) ([]int, error) {
-	X, err := classify.TransformWith(ctx, d, m.Shapelets, classify.TransformConfig{})
-	if err != nil {
-		return nil, err
-	}
-	return m.SVM.PredictAll(m.Scaler.Apply(X)), nil
-}
-
-// AccuracyCtx returns the model's accuracy (%) on the dataset.
-func (m *ShapeletModel) AccuracyCtx(ctx context.Context, d *ts.Dataset) (float64, error) {
-	pred, err := m.PredictCtx(ctx, d)
-	if err != nil {
-		return 0, err
-	}
-	return classify.Accuracy(pred, d.Labels()), nil
-}
-
 // BaseEvaluateCtx runs the full BASE pipeline and returns its test
 // accuracy, with cooperative cancellation; see BaseDiscoverCtx for the
 // granularity.
 func BaseEvaluateCtx(ctx context.Context, train, test *ts.Dataset, cfg BaseConfig, svmCfg classify.SVMConfig) (float64, error) {
-	sh, err := BaseDiscoverCtx(ctx, train, cfg)
+	return evaluate(ctx, train, test, core.Options{SVM: svmCfg, Workers: cfg.Workers},
+		func() ([]classify.Shapelet, error) { return BaseDiscoverCtx(ctx, train, cfg) })
+}
+
+// evaluate is every shapelet baseline's discover → train → score body: it
+// runs discover, trains IPS's own classifier (core.Train) on the shapelets,
+// and returns the test accuracy (%), so accuracy comparisons isolate the
+// discovery step.  Cancellation reaches the transform's distance engine and
+// the SVM's coordinate-descent passes.
+func evaluate(ctx context.Context, train, test *ts.Dataset, opt core.Options, discover func() ([]classify.Shapelet, error)) (float64, error) {
+	sh, err := discover()
 	if err != nil {
 		return 0, err
 	}
-	m, err := TrainShapeletClassifierCtx(ctx, train, sh, svmCfg)
+	m, err := core.Train(ctx, train, sh, opt)
 	if err != nil {
 		return 0, err
 	}
-	return m.AccuracyCtx(ctx, test)
+	pred, err := m.Predict(ctx, test)
+	if err != nil {
+		return 0, err
+	}
+	return classify.Accuracy(pred, test.Labels()), nil
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"ips/internal/classify"
+	"ips/internal/core"
 	"ips/internal/dabf"
 	"ips/internal/ts"
 )
@@ -224,19 +225,6 @@ func binaryEntropy(p float64) float64 {
 // BSPCoverEvaluateCtx runs the full BSPCOVER pipeline — discovery,
 // classifier training, and test scoring — with cooperative cancellation.
 func BSPCoverEvaluateCtx(ctx context.Context, train, test *ts.Dataset, cfg BSPConfig, svmCfg classify.SVMConfig) (float64, error) {
-	sh, err := BSPCoverDiscoverCtx(ctx, train, cfg)
-	if err != nil {
-		return 0, err
-	}
-	m, err := TrainShapeletClassifierCtx(ctx, train, sh, svmCfg)
-	if err != nil {
-		return 0, err
-	}
-	return m.AccuracyCtx(ctx, test)
-}
-
-// BestInfoGainSplitExported exposes the information-gain split search for
-// diagnostic tooling and tests.
-func BestInfoGainSplitExported(dists []float64, labels []int, target int) (gain, split float64) {
-	return bestInfoGainSplit(dists, labels, target)
+	return evaluate(ctx, train, test, core.Options{SVM: svmCfg},
+		func() ([]classify.Shapelet, error) { return BSPCoverDiscoverCtx(ctx, train, cfg) })
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"ips/internal/classify"
+	"ips/internal/core"
 	"ips/internal/ts"
 )
 
@@ -62,6 +63,7 @@ func (c FSConfig) defaults() FSConfig {
 // fsWord tracks one SAX word's per-class collision counts and a
 // representative raw subsequence.
 type fsWord struct {
+	key    string // the masked SAX word
 	counts map[int]float64
 	rep    ts.Series
 	class  int
@@ -124,7 +126,7 @@ func FastShapeletsDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg FSConf
 				key := maskWord(o.word, mask)
 				w := words[key]
 				if w == nil {
-					w = &fsWord{counts: map[int]float64{}, rep: o.rep, class: o.class}
+					w = &fsWord{key: key, counts: map[int]float64{}, rep: o.rep, class: o.class}
 					words[key] = w
 				}
 				w.counts[o.class]++
@@ -152,7 +154,15 @@ func FastShapeletsDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg FSConf
 			w.gap = bestFreq - secondFreq
 			ranked = append(ranked, w)
 		}
-		sort.Slice(ranked, func(i, j int) bool { return ranked[i].gap > ranked[j].gap })
+		// Ties in gap go to the smaller key, so the ranking does not
+		// depend on map order.
+		sort.Slice(ranked, func(i, j int) bool {
+			//lint:ignore ipslint/floateq exact tie-break keeps the ranking deterministic
+			if ranked[i].gap != ranked[j].gap {
+				return ranked[i].gap > ranked[j].gap
+			}
+			return ranked[i].key < ranked[j].key
+		})
 
 		// Refine the top words per class by information gain over the raw
 		// training distances.  The quota selection depends only on the gap
@@ -213,13 +223,6 @@ func maskWord(word string, mask []int) string {
 // discovery, classifier training, and test scoring — with cooperative
 // cancellation.
 func FastShapeletsEvaluateCtx(ctx context.Context, train, test *ts.Dataset, cfg FSConfig, svmCfg classify.SVMConfig) (float64, error) {
-	sh, err := FastShapeletsDiscoverCtx(ctx, train, cfg)
-	if err != nil {
-		return 0, err
-	}
-	m, err := TrainShapeletClassifierCtx(ctx, train, sh, svmCfg)
-	if err != nil {
-		return 0, err
-	}
-	return m.AccuracyCtx(ctx, test)
+	return evaluate(ctx, train, test, core.Options{SVM: svmCfg},
+		func() ([]classify.Shapelet, error) { return FastShapeletsDiscoverCtx(ctx, train, cfg) })
 }

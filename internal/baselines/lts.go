@@ -3,7 +3,6 @@ package baselines
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"ips/internal/classify"
 	"ips/internal/ts"
@@ -252,32 +251,4 @@ func LTSEvaluate(train, test *ts.Dataset, cfg LTSConfig) (float64, error) {
 		return 0, err
 	}
 	return classify.Accuracy(m.Predict(test), test.Labels()), nil
-}
-
-// TopShapelets returns the learned shapelets ranked by the magnitude of
-// their classifier weight (most influential first).
-func (m *LTSModel) TopShapelets(k int) []classify.Shapelet {
-	type ranked struct {
-		idx    int
-		weight float64
-	}
-	rs := make([]ranked, len(m.Shapelets))
-	for i := range m.Shapelets {
-		var w float64
-		for ci := range m.Classes {
-			w += math.Abs(m.W[ci][i])
-		}
-		rs[i] = ranked{idx: i, weight: w}
-	}
-	sort.Slice(rs, func(a, b int) bool { return rs[a].weight > rs[b].weight })
-	if k > len(rs) {
-		k = len(rs)
-	}
-	out := make([]classify.Shapelet, 0, k)
-	for _, r := range rs[:k] {
-		s := m.Shapelets[r.idx]
-		s.Score = r.weight
-		out = append(out, s)
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 
 	"ips/internal/classify"
 	"ips/internal/ts"
+	"ips/internal/ucr"
 )
 
 func TestSoftMinDistance(t *testing.T) {
@@ -77,19 +78,6 @@ func TestLTSModelShape(t *testing.T) {
 	if len(m.Classes) != 3 || len(m.W) != 3 {
 		t.Fatalf("classes = %v", m.Classes)
 	}
-	top := m.TopShapelets(3)
-	if len(top) != 3 {
-		t.Fatalf("top = %d", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Score > top[i-1].Score {
-			t.Fatal("top shapelets not ranked by weight")
-		}
-	}
-	// Oversized k clamps.
-	if len(m.TopShapelets(100)) != 6 {
-		t.Fatal("oversized TopShapelets should clamp")
-	}
 	if _, err := LTSTrain(&ts.Dataset{}, LTSConfig{}); err == nil {
 		t.Fatal("empty dataset should error")
 	}
@@ -125,6 +113,35 @@ func TestFastShapeletsDiscover(t *testing.T) {
 	}
 	if _, err := FastShapeletsDiscoverCtx(context.Background(), &ts.Dataset{}, FSConfig{}); err == nil {
 		t.Fatal("empty dataset should error")
+	}
+}
+
+// TestFastShapeletsDeterministic pins FS discovery to its seed: tied gap
+// scores are broken by the masked word, never by map order.
+func TestFastShapeletsDeterministic(t *testing.T) {
+	m, err := ucr.Find("ItalyPowerDemand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _ := ucr.Generate(m, ucr.GenConfig{MaxTrain: 30, MaxTest: 60, MaxLength: 160, Seed: 1})
+	want, err := FastShapeletsDiscoverCtx(context.Background(), train, FSConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 10; run++ {
+		got, err := FastShapeletsDiscoverCtx(context.Background(), train, FSConfig{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d shapelets, want %d", run, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Class != want[i].Class || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) ||
+				!ts.ApproxEqualSlice(got[i].Values, want[i].Values, 0) {
+				t.Fatalf("run %d: shapelet %d differs: %+v, want %+v", run, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"ips/internal/classify"
+	"ips/internal/core"
 	"ips/internal/ts"
 )
 
@@ -63,8 +64,16 @@ func FStatQuality(dists []float64, labels []int) float64 {
 		grand += d
 	}
 	grand /= float64(n)
+	// Sum the per-class terms in class order: float addition is not
+	// associative, so map order would change the result's low bits.
+	classes := make([]int, 0, k)
+	for c := range groups {
+		classes = append(classes, c)
+	}
+	sort.Ints(classes)
 	var ssBetween, ssWithin float64
-	for _, g := range groups {
+	for _, c := range classes {
+		g := groups[c]
 		var mean float64
 		for _, d := range g {
 			mean += d
@@ -203,13 +212,6 @@ func STDiscoverCtx(ctx context.Context, train *ts.Dataset, cfg STConfig) ([]clas
 // STEvaluateCtx runs the full ST pipeline — discovery, classifier training,
 // and test scoring — with cooperative cancellation.
 func STEvaluateCtx(ctx context.Context, train, test *ts.Dataset, cfg STConfig, svmCfg classify.SVMConfig) (float64, error) {
-	sh, err := STDiscoverCtx(ctx, train, cfg)
-	if err != nil {
-		return 0, err
-	}
-	m, err := TrainShapeletClassifierCtx(ctx, train, sh, svmCfg)
-	if err != nil {
-		return 0, err
-	}
-	return m.AccuracyCtx(ctx, test)
+	return evaluate(ctx, train, test, core.Options{SVM: svmCfg},
+		func() ([]classify.Shapelet, error) { return STDiscoverCtx(ctx, train, cfg) })
 }

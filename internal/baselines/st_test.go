@@ -2,6 +2,8 @@ package baselines
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"ips/internal/classify"
@@ -30,6 +32,24 @@ func TestFStatQuality(t *testing.T) {
 	}
 	if f := FStatQuality([]float64{1, 1, 2, 2}, []int{0, 0, 1, 1}); f < 1e9 {
 		t.Fatalf("perfect split F = %v", f)
+	}
+}
+
+// TestFStatQualityDeterministic pins the F-statistic's bits: the
+// per-class sums run in class order, not map order.
+func TestFStatQualityDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dists := make([]float64, 60)
+	labels := make([]int, len(dists))
+	for i := range dists {
+		labels[i] = i % 6
+		dists[i] = rng.Float64() + 0.1*float64(labels[i])
+	}
+	want := math.Float64bits(FStatQuality(dists, labels))
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(FStatQuality(dists, labels)); got != want {
+			t.Fatalf("call %d: bits %x, want %x", i, got, want)
+		}
 	}
 }
 

@@ -137,25 +137,15 @@ func (h *Harness) evaluateWithoutDiscords(ctx context.Context, train, test *ts.D
 	if err != nil {
 		return 0, err
 	}
-	if len(shapelets) == 0 {
-		return 0, fmt.Errorf("bench: no shapelets without discords")
-	}
-	X, err := classify.TransformWith(ctx, train, shapelets, classify.TransformConfig{})
+	// Obs stays nil: the ablation span records the discovery stages only.
+	opt.Obs = nil
+	m, err := core.Train(ctx, train, shapelets, opt)
 	if err != nil {
 		return 0, err
 	}
-	scaler, err := classify.FitScaler(X)
+	pred, err := m.Predict(ctx, test)
 	if err != nil {
 		return 0, err
 	}
-	svm, err := classify.TrainSVMCtx(ctx, scaler.Apply(X), train.Labels(), opt.SVM, nil)
-	if err != nil {
-		return 0, err
-	}
-	Xt, err := classify.TransformWith(ctx, test, shapelets, classify.TransformConfig{})
-	if err != nil {
-		return 0, err
-	}
-	pred := svm.PredictAll(scaler.Apply(Xt))
 	return classify.Accuracy(pred, test.Labels()), nil
 }

@@ -357,6 +357,20 @@ func TestCOTEQuick(t *testing.T) {
 	}
 }
 
+// TestCOTEBestMemberTie pins COTE's choice among tied members: the name
+// that sorts first wins, whatever the map's iteration order.
+func TestCOTEBestMemberTie(t *testing.T) {
+	members := map[string]float64{"LTS": 100, "FS": 100, "ST": 100, "IPS": 95, "BASE": 90}
+	for i := 0; i < 50; i++ {
+		if name, acc := bestMember(members); name != "FS" || acc < 100 {
+			t.Fatalf("bestMember = %s %v, want FS 100", name, acc)
+		}
+	}
+	if name, _ := bestMember(nil); name != "" {
+		t.Fatalf("bestMember(nil) = %q, want none", name)
+	}
+}
+
 func TestSparkline(t *testing.T) {
 	s := sparkline([]float64{0, 1, 2, 3})
 	if len([]rune(s)) != 4 {

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"ips/internal/baselines"
 	"ips/internal/classify"
@@ -55,26 +56,24 @@ func (h *Harness) COTE(ctx context.Context, datasets []string) ([]COTERow, error
 		}
 		addMember("IPS", onCtx(ctx, ipsModel.Predict))
 
-		// Shapelet-transform methods sharing the common classifier.
-		if sh, err := baselines.BaseDiscoverCtx(ctx, train, baselines.BaseConfig{K: h.k(), Workers: h.Workers}); err == nil {
-			if m, err := baselines.TrainShapeletClassifierCtx(ctx, train, sh, classify.SVMConfig{Seed: h.Seed}); err == nil {
-				addMember("BASE", onCtx(ctx, m.PredictCtx))
+		// Shapelet-transform methods sharing IPS's own classifier.
+		addShapelets := func(mname string, sh []classify.Shapelet) {
+			m, err := core.Train(ctx, train, sh, core.Options{SVM: classify.SVMConfig{Seed: h.Seed}, Workers: h.Workers})
+			if err == nil {
+				addMember(mname, onCtx(ctx, m.Predict))
 			}
+		}
+		if sh, err := baselines.BaseDiscoverCtx(ctx, train, baselines.BaseConfig{K: h.k(), Workers: h.Workers}); err == nil {
+			addShapelets("BASE", sh)
 		}
 		if sh, err := baselines.BSPCoverDiscoverCtx(ctx, train, baselines.BSPConfig{K: h.k()}); err == nil {
-			if m, err := baselines.TrainShapeletClassifierCtx(ctx, train, sh, classify.SVMConfig{Seed: h.Seed}); err == nil {
-				addMember("BSPCOVER", onCtx(ctx, m.PredictCtx))
-			}
+			addShapelets("BSPCOVER", sh)
 		}
 		if sh, err := baselines.STDiscoverCtx(ctx, train, baselines.STConfig{Seed: h.Seed}); err == nil {
-			if m, err := baselines.TrainShapeletClassifierCtx(ctx, train, sh, classify.SVMConfig{Seed: h.Seed}); err == nil {
-				addMember("ST", onCtx(ctx, m.PredictCtx))
-			}
+			addShapelets("ST", sh)
 		}
 		if sh, err := baselines.FastShapeletsDiscoverCtx(ctx, train, baselines.FSConfig{Seed: h.Seed}); err == nil {
-			if m, err := baselines.TrainShapeletClassifierCtx(ctx, train, sh, classify.SVMConfig{Seed: h.Seed}); err == nil {
-				addMember("FS", onCtx(ctx, m.PredictCtx))
-			}
+			addShapelets("FS", sh)
 		}
 
 		// Other families.
@@ -100,12 +99,7 @@ func (h *Harness) COTE(ctx context.Context, datasets []string) ([]COTERow, error
 			return nil, err
 		}
 		row.Ensemble = ensemble.Accuracy(test)
-		for mname, acc := range row.Members {
-			if acc > row.BestMember {
-				row.BestMember = acc
-				row.BestName = mname
-			}
-		}
+		row.BestName, row.BestMember = bestMember(row.Members)
 		rows = append(rows, row)
 	}
 
@@ -119,6 +113,22 @@ func (h *Harness) COTE(ctx context.Context, datasets []string) ([]COTERow, error
 	fmt.Fprintln(h.out(), "COTE-style full ensemble (training-accuracy-weighted vote of 11 measured classifiers)")
 	table(h.out(), header, cells)
 	return rows, nil
+}
+
+// bestMember returns the most accurate member; a tie goes to the name that
+// sorts first, so the choice does not depend on map order.
+func bestMember(members map[string]float64) (name string, acc float64) {
+	names := make([]string, 0, len(members))
+	for n := range members {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		if members[n] > acc {
+			name, acc = n, members[n]
+		}
+	}
+	return name, acc
 }
 
 // onCtx adapts a ctx-first predictor to the ensemble's vote signature, so

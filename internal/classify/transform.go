@@ -1,7 +1,7 @@
 // Package classify provides the classification substrate: the shapelet
-// transform (Def. 7 of the IPS paper), a one-vs-rest linear SVM trained with
-// Pegasos SGD (the paper's final classifier), 1NN-ED and 1NN-DTW baselines
-// (Table II/VI), and evaluation helpers.
+// transform (Def. 7 of the IPS paper), a one-vs-rest linear SVM trained by
+// dual coordinate descent (the paper's final classifier), 1NN-ED and
+// 1NN-DTW baselines (Table II/VI), and evaluation helpers.
 package classify
 
 import (

@@ -228,21 +228,23 @@ func Discover(ctx context.Context, train *ts.Dataset, opt Options) (*Result, err
 	return res, nil
 }
 
-// Model is a trained IPS classifier: the discovered shapelets plus the
+// Model is a trained shapelet classifier: the shapelets plus the
 // shapelet-transform scaler and linear SVM (§III Remarks).
 type Model struct {
 	Shapelets []classify.Shapelet
 	Scaler    *classify.Scaler
 	SVM       *classify.SVM
+	// Discovery is the discovery Result of a Fit.  A model from Train
+	// carries only the shapelets and the Transform and Train timings.
 	Discovery *Result
 
 	workers int
 }
 
 // Fit discovers shapelets on the training set and trains the final
-// classifier on the shapelet-transformed features.  The training steps are
-// timed too: Model.Discovery.Timings.Transform/Train report the embedding
-// and scaler+SVM time, so FitTotal covers the whole fit, not just discovery.
+// classifier on the shapelet-transformed features: Discover, then Train.
+// Model.Discovery.Timings.Transform/Train report the embedding and
+// scaler+SVM time, so FitTotal covers the whole fit, not just discovery.
 //
 // A cancelled fit returns a nil model and an error matching
 // errs.ErrCanceled; the span tree on opt.Obs (and, for cancellations during
@@ -264,11 +266,46 @@ func Fit(ctx context.Context, train *ts.Dataset, opt Options) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := Train(ctx, train, res.Shapelets, opt)
+	if err != nil {
+		return nil, err
+	}
+	res.Timings.Transform = m.Discovery.Timings.Transform
+	res.Timings.Train = m.Discovery.Timings.Train
+	m.Discovery = res
+	return m, nil
+}
+
+// Train is the classifier every shapelet method in this repository shares,
+// so accuracy comparisons isolate the discovery step: the shapelet
+// transform of train (Def. 7), a standardising scaler, and the linear SVM.
+// It records a "transform" and a "train" span under opt.Obs's root, and
+// reads only opt.SVM, opt.Workers and opt.Obs.  Bad input returns an error
+// matching errs.ErrBadInput (errs.ErrNoShapelets for an empty shapelet
+// set); a cancelled run returns a nil model and an error matching
+// errs.ErrCanceled.
+func Train(ctx context.Context, train *ts.Dataset, shapelets []classify.Shapelet, opt Options) (*Model, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if train == nil {
+		return nil, errs.BadInput(errs.StageValidate, "fit", "", "nil dataset")
+	}
+	if err := train.Validate(true); err != nil {
+		return nil, errs.BadInputErr(errs.StageValidate, "fit", train.Name, err)
+	}
+	if len(shapelets) == 0 {
+		return nil, &errs.Error{Stage: errs.StageTrain, Op: "fit", Dataset: train.Name, Err: errs.ErrNoShapelets}
+	}
 	o := opt.Obs
+	if o == nil {
+		o = obs.SpansOnly("ips")
+	}
+	res := &Result{Shapelets: shapelets}
 	lg := obs.Log(ctx)
 	tsp := o.Root().Child("transform")
 	o.Progress("transform", 0, 1)
-	X, err := classify.TransformWith(obs.WithSpan(ctx, tsp), train, res.Shapelets, classify.TransformConfig{
+	X, err := classify.TransformWith(obs.WithSpan(ctx, tsp), train, shapelets, classify.TransformConfig{
 		Workers: opt.Workers, Span: tsp,
 	})
 	tsp.End()
@@ -278,7 +315,7 @@ func Fit(ctx context.Context, train *ts.Dataset, opt Options) (*Model, error) {
 		return nil, errs.Wrap(errs.StageTransform, "fit", train.Name, err)
 	}
 	lg.Info("training set transformed", "instances", len(X),
-		"features", len(res.Shapelets), "elapsed", tsp.Duration())
+		"features", len(shapelets), "elapsed", tsp.Duration())
 
 	trainSp := o.Root().Child("train")
 	o.Progress("train", 0, 1)
@@ -297,7 +334,7 @@ func Fit(ctx context.Context, train *ts.Dataset, opt Options) (*Model, error) {
 	}
 	o.Progress("train", 1, 1)
 	lg.Info("classifier trained", "elapsed", trainSp.Duration())
-	return &Model{Shapelets: res.Shapelets, Scaler: scaler, SVM: svm, Discovery: res,
+	return &Model{Shapelets: shapelets, Scaler: scaler, SVM: svm, Discovery: res,
 		workers: opt.Workers}, nil
 }
 

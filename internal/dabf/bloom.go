@@ -1,8 +1,7 @@
 // Package dabf implements the distribution-aware bloom filter of §III-B/C of
-// the IPS paper (Algorithms 2 and 3), together with the two prior structures
-// it generalises — the classic Bloom filter [4] and the distance-sensitive
-// Bloom filter [15] — and the naive quadratic pruning method it is compared
-// against (Table V, Fig. 10a).
+// the IPS paper (Algorithms 2 and 3), together with the classic Bloom
+// filter [4] it generalises (BSPCOVER's filter) and the naive quadratic
+// pruning method it is compared against (Table V, Fig. 10a).
 package dabf
 
 import (
@@ -17,7 +16,6 @@ type Bloom struct {
 	bits []uint64
 	m    uint64 // number of bits
 	k    int    // number of hash functions
-	n    int    // inserted elements
 }
 
 // NewBloom sizes a Bloom filter for the expected number of elements and
@@ -62,7 +60,6 @@ func (b *Bloom) Add(key []byte) {
 		pos := (h1 + uint64(i)*h2) % b.m
 		b.bits[pos/64] |= 1 << (pos % 64)
 	}
-	b.n++
 }
 
 // Contains reports whether key is possibly in the set.  A false return is
@@ -76,16 +73,4 @@ func (b *Bloom) Contains(key []byte) bool {
 		}
 	}
 	return true
-}
-
-// Count returns the number of inserted elements.
-func (b *Bloom) Count() int { return b.n }
-
-// EstimatedFPRate returns the standard (1 − e^{−kn/m})^k estimate for the
-// filter's current load.
-func (b *Bloom) EstimatedFPRate() float64 {
-	if b.n == 0 {
-		return 0
-	}
-	return math.Pow(1-math.Exp(-float64(b.k)*float64(b.n)/float64(b.m)), float64(b.k))
 }

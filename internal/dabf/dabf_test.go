@@ -22,9 +22,6 @@ func TestBloomBasics(t *testing.T) {
 			t.Fatalf("inserted key %q reported absent", k)
 		}
 	}
-	if b.Count() != 3 {
-		t.Fatalf("count = %d", b.Count())
-	}
 	// False positive rate should stay near the target under load.
 	b = NewBloom(1000, 0.01)
 	for i := 0; i < 1000; i++ {
@@ -40,9 +37,6 @@ func TestBloomBasics(t *testing.T) {
 	if rate := float64(fp) / probes; rate > 0.05 {
 		t.Fatalf("false positive rate = %v", rate)
 	}
-	if est := b.EstimatedFPRate(); est <= 0 || est > 0.05 {
-		t.Fatalf("estimated fp rate = %v", est)
-	}
 }
 
 func TestBloomDegenerateParams(t *testing.T) {
@@ -50,43 +44,6 @@ func TestBloomDegenerateParams(t *testing.T) {
 	b.Add([]byte("x"))
 	if !b.Contains([]byte("x")) {
 		t.Fatal("degenerate-parameter filter broken")
-	}
-	if NewBloom(5, 0.5).EstimatedFPRate() != 0 {
-		t.Fatal("empty filter should estimate 0 fp rate")
-	}
-}
-
-func TestDSBF(t *testing.T) {
-	cfg := lsh.Config{Kind: lsh.L2, Dim: 16, NumHashes: 4, Width: 4, Seed: 1}
-	d := NewDSBF(cfg, 6, 3, 100)
-	rng := rand.New(rand.NewSource(2))
-	base := make([]float64, 16)
-	for i := range base {
-		base[i] = rng.NormFloat64() * 3
-	}
-	d.Add(base)
-	// A tiny perturbation should be reported close.
-	near := make([]float64, 16)
-	for i := range near {
-		near[i] = base[i] + 0.01*rng.NormFloat64()
-	}
-	if !d.CloseToSome(near) {
-		t.Fatal("near point not reported close")
-	}
-	// A far point should usually not be close.
-	far := make([]float64, 16)
-	for i := range far {
-		far[i] = base[i] + 50*rng.NormFloat64()
-	}
-	if d.CloseToSome(far) {
-		t.Fatal("far point reported close")
-	}
-}
-
-func TestDSBFDefaults(t *testing.T) {
-	d := NewDSBF(lsh.Config{Dim: 8}, 0, 0, 10)
-	if len(d.families) != 4 || d.threshold != 2 {
-		t.Fatalf("defaults: %d families, threshold %d", len(d.families), d.threshold)
 	}
 }
 

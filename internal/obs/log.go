@@ -19,7 +19,7 @@ import (
 // lookup and one interface call — no attribute is evaluated, nothing
 // allocates.
 //
-// Stage attribution is automatic: the pipeline stores the active span with
+// Stage attribution is automatic: the pipeline passes each stage's span to
 // WithSpan as it descends, and WithSpan re-derives the context logger with a
 // "span" attribute, so a deep log record (say, from the STOMP kernel) carries
 // the stage that reached it without the kernel knowing about stages.  Error
@@ -27,7 +27,6 @@ import (
 // dataset, sentinel class — into the same attribute space.
 
 type loggerKey struct{}
-type spanKey struct{}
 
 // nopHandler is a slog.Handler that is disabled at every level.  Unlike a
 // handler writing to io.Discard it short-circuits before attribute
@@ -41,9 +40,6 @@ func (nopHandler) WithAttrs([]slog.Attr) slog.Handler        { return nopHandler
 func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler{} }
 
 var nopLogger = slog.New(nopHandler{})
-
-// NopLogger returns the shared disabled logger Log falls back to.
-func NopLogger() *slog.Logger { return nopLogger }
 
 // ParseLevel maps a -log-level flag value onto a slog.Level.  "off" (and "")
 // report enabled=false: the caller should install no logger at all.
@@ -103,37 +99,18 @@ func Log(ctx context.Context) *slog.Logger {
 	return nopLogger
 }
 
-// LogEnabled reports whether a record at level would be emitted — the guard
-// for log points that must compute something expensive just to log it.
-func LogEnabled(ctx context.Context, level slog.Level) bool {
-	return Log(ctx).Enabled(ctx, level)
-}
-
-// WithSpan records sp as the active span of ctx and, when logging is live,
-// re-derives the context logger with a "span" attribute naming it.  The
-// attribute attachment happens once per stage here — not per log record — so
-// descending into a span costs nothing on the log path when logging is off.
+// WithSpan re-derives the context logger, when logging is live, with a
+// "span" attribute naming sp.  The attribute attachment happens once per
+// stage here — not per log record — so descending into a span costs
+// nothing when logging is off: WithSpan then returns ctx unchanged.
 func WithSpan(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {
 		return ctx
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx = context.WithValue(ctx, spanKey{}, sp)
 	if l := Log(ctx); l != nopLogger && l.Enabled(ctx, slog.LevelError) {
 		ctx = WithLogger(ctx, l.With(slog.String("span", sp.Name())))
 	}
 	return ctx
-}
-
-// SpanFromContext returns the active span installed by WithSpan, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	sp, _ := ctx.Value(spanKey{}).(*Span)
-	return sp
 }
 
 // ErrAttrs flattens an error into slog attributes: the message, and — when

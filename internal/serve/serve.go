@@ -162,5 +162,9 @@ func (s *Server) metrics() *obs.Registry { return s.cfg.Obs.Metrics() }
 
 // latencyBuckets are the fixed bounds (milliseconds) of the serving latency
 // histograms; the P² streaming quantiles ride on the same histograms, so the
-// route p50/p95/p99 in /metrics do not depend on these edges.
-var latencyBuckets = []float64{0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
+// route p50/p95/p99 in /metrics do not depend on these edges.  The
+// sub-millisecond bounds are there because one small model's evaluation can
+// finish well inside the first half millisecond, and a bucket-interpolated
+// median (perfbench's serve.batch_p50_ms) can only resolve what the bounds
+// separate.
+var latencyBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}

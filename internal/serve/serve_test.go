@@ -389,3 +389,23 @@ func TestBodyTooLarge413(t *testing.T) {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, out)
 	}
 }
+
+// TestLatencyBucketsResolveSubMillisecond pins the serving histograms'
+// resolution below a millisecond, where one small model's evaluation lands:
+// 0.03, 0.15 and 0.3 ms must fall in three different buckets.
+func TestLatencyBucketsResolveSubMillisecond(t *testing.T) {
+	h := obs.NewRegistry().Histogram("serve.batch.ms", latencyBuckets)
+	seen := map[int]bool{}
+	for _, ms := range []float64{0.03, 0.15, 0.3} {
+		before := h.Snapshot().Counts
+		h.Observe(ms)
+		for i, c := range h.Snapshot().Counts {
+			if c > before[i] {
+				if seen[i] {
+					t.Fatalf("%g ms shares bucket %d (bounds %v)", ms, i, latencyBuckets)
+				}
+				seen[i] = true
+			}
+		}
+	}
+}

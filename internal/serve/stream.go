@@ -129,7 +129,8 @@ type streamCloseResponse struct {
 // admission taxonomy as the batch routes: draining server 503, unknown
 // model 404, retired model 503, MaxStreams and per-stream point caps 429,
 // non-finite points 400, deadline mid-evaluation 504 (the session stays
-// consistent and the next append resumes the evaluation).
+// consistent and the next append resumes the evaluation).  A create whose
+// first chunk fails opens no session.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sw := obs.NewStopwatch()
 	status := http.StatusOK
@@ -234,8 +235,9 @@ func (s *Server) streamCreate(ctx context.Context, w http.ResponseWriter, r *htt
 	up, err := st.Append(ctx, points)
 	ses.mu.Unlock()
 	if err != nil {
-		// The session exists (the client may retry the first chunk), but
-		// this request failed; report it typed.
+		// The error body carries no session id, so no client could close
+		// this session: drop it before it holds a MaxStreams slot forever.
+		s.streams.remove(ses.id)
 		return writeError(ctx, w, err)
 	}
 	obs.Log(ctx).Info("stream opened", "op", "serve.stream",

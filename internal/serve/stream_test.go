@@ -195,8 +195,14 @@ func TestStreamAdmission(t *testing.T) {
 	if resp, _, _ = doStream(t, http.MethodDelete, hs.URL+"/v1/stream?session="+sr.Session, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("close: status %d", resp.StatusCode)
 	}
-	if resp, _, _ = doStream(t, http.MethodPost, hs.URL+"/v1/stream?model=planted", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("create after close: status %d", resp.StatusCode)
+	// A create whose first chunk is refused opens no session: the error
+	// names none, so nothing could ever close it and free its slot.
+	resp, _, raw = doStream(t, http.MethodPost, hs.URL+"/v1/stream?model=planted", streamChunk(t, make([]float64, 17)))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-points create: status %d body %s, want 429", resp.StatusCode, raw)
+	}
+	if resp, _, raw = doStream(t, http.MethodPost, hs.URL+"/v1/stream?model=planted", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("create after close and a refused create: status %d body %s", resp.StatusCode, raw)
 	}
 
 	for _, tc := range []struct {

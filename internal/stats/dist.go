@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 )
 
 // Distribution is a univariate continuous distribution fitted to data.
@@ -125,111 +124,3 @@ func (d Gamma) Mean() float64 {
 	return m
 }
 func (d Gamma) Std() float64 { return math.Sqrt(d.K) * d.Theta }
-
-// Uniform is the continuous uniform distribution on [A, B].
-type Uniform struct{ A, B float64 }
-
-// FitUniform fits a uniform distribution to the sample range.
-func FitUniform(xs []float64) Uniform {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range xs {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi <= lo {
-		hi = lo + 1e-9
-	}
-	return Uniform{A: lo, B: hi}
-}
-
-func (d Uniform) Name() string { return "Uniform" }
-func (d Uniform) PDF(x float64) float64 {
-	if x < d.A || x > d.B {
-		return 0
-	}
-	return 1 / (d.B - d.A)
-}
-func (d Uniform) CDF(x float64) float64 {
-	switch {
-	case x < d.A:
-		return 0
-	case x > d.B:
-		return 1
-	default:
-		return (x - d.A) / (d.B - d.A)
-	}
-}
-func (d Uniform) Mean() float64 { return (d.A + d.B) / 2 }
-func (d Uniform) Std() float64  { return (d.B - d.A) / math.Sqrt(12) }
-
-// Exponential is a shifted exponential distribution with rate Lambda and
-// location Loc.
-type Exponential struct{ Lambda, Loc float64 }
-
-// FitExponential fits a shifted exponential: loc = min(x), λ = 1/(mean−loc).
-func FitExponential(xs []float64) Exponential {
-	lo := math.Inf(1)
-	var sum float64
-	for _, v := range xs {
-		if v < lo {
-			lo = v
-		}
-		sum += v
-	}
-	mean := sum / float64(len(xs))
-	scale := mean - lo
-	if scale <= 0 {
-		scale = 1e-9
-	}
-	return Exponential{Lambda: 1 / scale, Loc: lo}
-}
-
-func (d Exponential) Name() string { return "Exp" }
-func (d Exponential) PDF(x float64) float64 {
-	t := x - d.Loc
-	if t < 0 {
-		return 0
-	}
-	return d.Lambda * math.Exp(-d.Lambda*t)
-}
-func (d Exponential) CDF(x float64) float64 {
-	t := x - d.Loc
-	if t < 0 {
-		return 0
-	}
-	return 1 - math.Exp(-d.Lambda*t)
-}
-func (d Exponential) Mean() float64 { return d.Loc + 1/d.Lambda }
-func (d Exponential) Std() float64  { return 1 / d.Lambda }
-
-// FitResult is the outcome of best-fit model selection (Table III rows).
-type FitResult struct {
-	Dist Distribution
-	NMSE float64
-}
-
-// FitBest fits each candidate family to the samples by moments, scores each
-// against a histogram with the given number of bins by NMSE (Formula 10), and
-// returns the candidates ordered best-first.
-func FitBest(samples []float64, bins int) ([]FitResult, error) {
-	h, err := NewHistogram(samples, bins)
-	if err != nil {
-		return nil, err
-	}
-	cands := []Distribution{
-		FitNormal(samples),
-		FitGamma(samples),
-		FitUniform(samples),
-		FitExponential(samples),
-	}
-	out := make([]FitResult, 0, len(cands))
-	for _, d := range cands {
-		out = append(out, FitResult{Dist: d, NMSE: h.NMSE(d)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].NMSE < out[j].NMSE })
-	return out, nil
-}

@@ -1,6 +1,7 @@
 // Package stats provides the statistical substrate of the reproduction:
-// histograms, method-of-moments distribution fitting with NMSE model
-// selection (Table III / Formula 10 of the IPS paper), the 3σ/Chebyshev rule
+// histograms, method-of-moments Normal and Gamma fits with the NMSE score
+// the DABF picks between them by (Table III / Formula 10 of the IPS paper),
+// the 3σ/Chebyshev rule
 // used by the DABF (Formula 11), and the Friedman and Wilcoxon-Holm tests
 // behind the critical-difference diagram (Fig. 11).
 package stats

@@ -173,74 +173,6 @@ func TestGammaFit(t *testing.T) {
 	}
 }
 
-func TestUniformAndExponential(t *testing.T) {
-	u := FitUniform([]float64{1, 2, 3, 4, 5})
-	if u.A != 1 || u.B != 5 {
-		t.Fatalf("uniform fit = %+v", u)
-	}
-	if !approx(u.PDF(3), 0.25, 1e-12) || u.PDF(0) != 0 || u.PDF(6) != 0 {
-		t.Fatal("uniform PDF wrong")
-	}
-	if u.CDF(0) != 0 || u.CDF(6) != 1 || !approx(u.CDF(3), 0.5, 1e-12) {
-		t.Fatal("uniform CDF wrong")
-	}
-	if !approx(u.Mean(), 3, 1e-12) {
-		t.Fatal("uniform mean wrong")
-	}
-
-	e := FitExponential([]float64{2, 3, 4, 5})
-	if e.Loc != 2 {
-		t.Fatalf("exp loc = %v", e.Loc)
-	}
-	if e.PDF(1) != 0 || e.CDF(1) != 0 {
-		t.Fatal("exp support wrong")
-	}
-	if !approx(e.Mean(), 3.5, 1e-9) {
-		t.Fatalf("exp mean = %v", e.Mean())
-	}
-}
-
-func TestFitBestSelectsNormalOnGaussianData(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 5000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	fits, err := FitBest(xs, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fits[0].Dist.Name() != "Norm" && fits[0].Dist.Name() != "Gamma" {
-		// Gamma with tiny skew approximates normal; either is acceptable,
-		// but uniform/exp must not win.
-		t.Fatalf("best fit on gaussian data = %s (NMSE %v)", fits[0].Dist.Name(), fits[0].NMSE)
-	}
-	if fits[0].NMSE > 0.2 {
-		t.Fatalf("gaussian NMSE too large: %v", fits[0].NMSE)
-	}
-	// Results are sorted best-first.
-	for i := 1; i < len(fits); i++ {
-		if fits[i].NMSE < fits[i-1].NMSE {
-			t.Fatal("fits not sorted")
-		}
-	}
-}
-
-func TestFitBestSelectsUniformOnUniformData(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	xs := make([]float64, 5000)
-	for i := range xs {
-		xs[i] = rng.Float64()
-	}
-	fits, err := FitBest(xs, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fits[0].Dist.Name() != "Uniform" {
-		t.Fatalf("best fit on uniform data = %s", fits[0].Dist.Name())
-	}
-}
-
 func TestRanks(t *testing.T) {
 	r := Ranks([]float64{0.9, 0.7, 0.9, 0.5})
 	// 0.9s tie for ranks 1,2 → 1.5 each; 0.7 → 3; 0.5 → 4
@@ -407,28 +339,5 @@ func TestHistogramNMSEProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestImanDavenport(t *testing.T) {
-	// Demšar's worked setting: chi2 well below N(k-1) gives a finite F.
-	f, df1, df2, err := ImanDavenport(50, 13, 46)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if df1 != 12 || df2 != 540 {
-		t.Fatalf("df = %d,%d", df1, df2)
-	}
-	want := 45.0 * 50 / (46*12 - 50)
-	if !approx(f, want, 1e-9) {
-		t.Fatalf("F = %v, want %v", f, want)
-	}
-	// Degenerate saturation diverges rather than going negative.
-	f, _, _, err = ImanDavenport(46*12, 13, 46)
-	if err != nil || !math.IsInf(f, 1) {
-		t.Fatalf("saturated F = %v err=%v", f, err)
-	}
-	if _, _, _, err := ImanDavenport(1, 1, 46); err == nil {
-		t.Fatal("k=1 should error")
 	}
 }

@@ -72,22 +72,6 @@ func Friedman(scores [][]float64) (*FriedmanResult, error) {
 	return &FriedmanResult{Stat: stat, PValue: p, AvgRanks: avg}, nil
 }
 
-// ImanDavenport converts a Friedman statistic into the less conservative
-// Iman–Davenport F-statistic F_F = (N−1)·χ² / (N(k−1) − χ²) recommended by
-// Demšar for CD-diagram analyses; it returns the statistic and its degrees
-// of freedom (k−1, (k−1)(N−1)).
-func ImanDavenport(chi2 float64, k, n int) (f float64, df1, df2 int, err error) {
-	if k < 2 || n < 2 {
-		return 0, 0, 0, errors.New("stats: need k >= 2 methods and n >= 2 datasets")
-	}
-	den := float64(n*(k-1)) - chi2
-	if den <= 0 {
-		// Degenerate (perfect ranking agreement): the statistic diverges.
-		return math.Inf(1), k - 1, (k - 1) * (n - 1), nil
-	}
-	return float64(n-1) * chi2 / den, k - 1, (k - 1) * (n - 1), nil
-}
-
 // WilcoxonSignedRank runs the two-sided Wilcoxon signed-rank test on paired
 // samples a and b, using the normal approximation with tie and
 // continuity corrections.  Zero differences are dropped (Wilcoxon's rule).

@@ -109,19 +109,6 @@ func (d *Dataset) Validate(requireTwoClasses bool) error {
 	return nil
 }
 
-// Concatenate joins the given series into one long series (the paper's T_C).
-func Concatenate(series []Series) Series {
-	total := 0
-	for _, s := range series {
-		total += len(s)
-	}
-	out := make(Series, 0, total)
-	for _, s := range series {
-		out = append(out, s...)
-	}
-	return out
-}
-
 // ConcatenateInstances joins the values of the given instances into one long
 // series and returns, alongside it, the start offset of each instance.  The
 // offsets let callers mask out subsequences that would span an instance

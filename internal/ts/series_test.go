@@ -74,16 +74,6 @@ func TestDatasetValidate(t *testing.T) {
 	}
 }
 
-func TestConcatenate(t *testing.T) {
-	got := Concatenate([]Series{{1, 2}, {3}, {4, 5}})
-	want := Series{1, 2, 3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Concatenate = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestConcatenateInstancesAndBoundaryMask(t *testing.T) {
 	ins := []Instance{
 		{Values: Series{1, 2, 3}},
