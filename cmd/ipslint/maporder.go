@@ -2,21 +2,25 @@ package main
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
 // maporderAnalyzer flags `range` over a map whose nondeterministic iteration
 // order can reach an ordered sink: formatted output, JSON encoding, an obs
-// span attribute, or an append to a slice declared outside the loop that is
-// never sorted afterwards.  This is the bug class that would break the
-// byte-determinism of internal/obs manifests and the "identical output for
-// any worker count" kernel contract.  The blessed idiom — collect keys, sort,
-// then iterate the sorted slice — is recognised and exempt: an appended-to
-// slice that is passed to a sort.* or slices.* call after the loop does not
-// count as a sink.
+// span attribute, an append to a slice declared outside the loop that is
+// never sorted afterwards, or a floating-point accumulator declared outside
+// the loop (`+=`, `-=`, `*=`, `/=`, or `x = x op …`): float arithmetic is
+// not associative, so the sum's low bits follow map order.  This is the bug
+// class that would break the byte-determinism of internal/obs manifests and
+// the "identical output for any worker count" kernel contract.  Integer
+// accumulation is exact in any order and exempt.  The blessed idiom —
+// collect keys, sort, then iterate the sorted slice — is recognised and
+// exempt: an appended-to slice that is passed to a sort.* or slices.* call
+// after the loop does not count as a sink.
 var maporderAnalyzer = &Analyzer{
 	Name: "maporder",
-	Doc:  "map iteration order reaching an ordered sink (output, JSON, obs attrs, unsorted append)",
+	Doc:  "map iteration order reaching an ordered sink (output, JSON, obs attrs, unsorted append, float accumulation)",
 	Run:  runMaporder,
 }
 
@@ -59,6 +63,10 @@ func runMaporder(pass *Pass) {
 func checkMapRange(pass *Pass, parents map[ast.Node]ast.Node, rng *ast.RangeStmt) {
 	body := enclosingFuncBody(parents, rng)
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok {
+			checkFloatAccumulation(pass, rng, as)
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -86,6 +94,77 @@ func checkMapRange(pass *Pass, parents map[ast.Node]ast.Node, rng *ast.RangeStmt
 		}
 		return true
 	})
+}
+
+// checkFloatAccumulation flags an assignment inside a map range that folds
+// into a floating-point variable or field rooted outside the loop: a
+// compound `+=`, `-=`, `*=` or `/=`, or a plain `x = … x …` whose right-hand
+// side combines x with + - * /.
+func checkFloatAccumulation(pass *Pass, rng *ast.RangeStmt, as *ast.AssignStmt) {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return
+	}
+	dst := ast.Unparen(as.Lhs[0])
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	case token.ASSIGN:
+		if !arithOperand(as.Rhs[0], types.ExprString(dst)) {
+			return
+		}
+	default:
+		return
+	}
+	t := pass.TypeOf(dst)
+	if t == nil {
+		return
+	}
+	if b, ok := t.Underlying().(*types.Basic); !ok || b.Info()&(types.IsFloat|types.IsComplex) == 0 {
+		return
+	}
+	root := rootIdent(dst)
+	if root == nil {
+		return
+	}
+	obj := pass.Info.Uses[root]
+	if obj == nil || (obj.Pos() >= rng.Pos() && obj.Pos() <= rng.End()) {
+		return // declared inside the loop: each iteration starts afresh
+	}
+	if ix, ok := dst.(*ast.IndexExpr); ok && sameObject(pass, ix.Index, rng.Key) {
+		return // indexed by the map key: each slot takes one iteration's value
+	}
+	pass.Reportf(as.Pos(), "floating-point accumulation into %s inside map iteration: the sum's low bits follow map order; iterate sorted keys", types.ExprString(dst))
+}
+
+// sameObject reports whether a and b are identifiers of the same object.
+func sameObject(pass *Pass, a, b ast.Expr) bool {
+	ai, ok := ast.Unparen(a).(*ast.Ident)
+	if !ok || b == nil {
+		return false
+	}
+	bi, ok := b.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	ao, bo := pass.Info.Uses[ai], pass.Info.Defs[bi]
+	if bo == nil {
+		bo = pass.Info.Uses[bi]
+	}
+	return ao != nil && ao == bo
+}
+
+// arithOperand reports whether e, through + - * / and parentheses, has an
+// operand that prints as name.
+func arithOperand(e ast.Expr, name string) bool {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.BinaryExpr:
+		switch x.Op {
+		case token.ADD, token.SUB, token.MUL, token.QUO:
+			return arithOperand(x.X, name) || arithOperand(x.Y, name)
+		}
+		return false
+	default:
+		return types.ExprString(x) == name
+	}
 }
 
 // checkAppendSink flags `dst = append(dst, ...)` inside a map range when dst

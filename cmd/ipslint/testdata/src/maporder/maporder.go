@@ -81,3 +81,73 @@ func printSlice(xs []string) {
 	}
 	_ = seen
 }
+
+// Float accumulation in map order: addition is not associative, so the
+// result's low bits follow the iteration order.  This is the shape of a
+// Gini impurity over a class-count map.
+func giniOverMap(counts map[int]int, total int) float64 {
+	g := 1.0
+	for _, n := range counts {
+		p := float64(n) / float64(total)
+		g -= p * p // want "floating-point accumulation into g inside map iteration"
+	}
+	return g
+}
+
+// The shape of an ANOVA F statistic over per-class groups: both sums of
+// squares accumulate across classes, while the per-class mean is declared
+// inside the loop and starts afresh each iteration.
+func fStatOverMap(groups map[int][]float64, grand float64) (ssBetween, ssWithin float64) {
+	for _, g := range groups {
+		var mean float64
+		for _, d := range g {
+			mean += d
+		}
+		mean /= float64(len(g))
+		diff := mean - grand
+		ssBetween += float64(len(g)) * diff * diff // want "floating-point accumulation into ssBetween inside map iteration"
+		for _, d := range g {
+			dd := d - mean
+			ssWithin += dd * dd // want "floating-point accumulation into ssWithin inside map iteration"
+		}
+	}
+	return ssBetween, ssWithin
+}
+
+type stats struct{ sum, prod float64 }
+
+// Plain assignment that folds the accumulator back in, and accumulation
+// into a field, are the same fault.
+func spelledOut(m map[string]float64, st *stats) float64 {
+	var sum float64
+	for _, v := range m {
+		sum = sum + v               // want "floating-point accumulation into sum inside map iteration"
+		st.prod *= v                // want "floating-point accumulation into st.prod inside map iteration"
+		st.sum = 0.5 * (st.sum + v) // want "floating-point accumulation into st.sum inside map iteration"
+	}
+	return sum
+}
+
+// Accumulating into a slot indexed by the map key touches each slot once,
+// so no order reaches the result; any other index can collect several
+// iterations in one slot.
+func perKey(m map[int]float64, scale map[int]float64, byParity []float64) {
+	for k, v := range m {
+		scale[k] *= v
+		byParity[k%2] += v // want "floating-point accumulation into byParity.k % 2. inside map iteration"
+	}
+}
+
+// Summing over sorted keys is the fix.
+func sumSorted(m map[int]float64) float64 {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	var sum float64
+	for _, k := range keys {
+		sum += m[k]
+	}
+	return sum
+}

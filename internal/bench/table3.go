@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"ips/internal/dabf"
 	"ips/internal/ip"
@@ -55,9 +56,17 @@ func (h *Harness) Table3(ctx context.Context) ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Average the fit errors in class order: float addition is not
+		// associative, so map order would change the mean's low bits.
+		classes := make([]int, 0, len(d.PerClass))
+		for c := range d.PerClass {
+			classes = append(classes, c)
+		}
+		sort.Ints(classes)
 		votes := map[string]int{}
 		var nmse float64
-		for _, cf := range d.PerClass {
+		for _, c := range classes {
+			cf := d.PerClass[c]
 			votes[cf.Dist.Name()]++
 			nmse += cf.FitNMSE
 		}

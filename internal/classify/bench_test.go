@@ -63,3 +63,41 @@ func BenchmarkTransform(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTrainSVM trains the one-vs-rest SVM on features shaped like
+// perfbench's fit workload: the shapelet transform of synthetic
+// UWaveGestureLibraryY (896 training series, 8 classes) by 40 shapelets of
+// length 63, standardised, at one and two workers.  The weights are
+// bit-identical at either worker count; only the time differs.
+func BenchmarkTrainSVM(b *testing.B) {
+	train, _, err := ucr.GenerateByName("UWaveGestureLibraryY", ucr.GenConfig{Seed: 1, MaxTest: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const shapelets, L = 40, 63
+	sh := make([]Shapelet, shapelets)
+	for i := range sh {
+		in := train.Instances[(i*23)%len(train.Instances)]
+		at := (i * 17) % (len(in.Values) - L + 1)
+		sh[i] = Shapelet{Class: in.Label, Values: in.Values[at : at+L].Clone()}
+	}
+	X, err := TransformWith(context.Background(), train, sh, TransformConfig{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	scaler, err := FitScaler(X)
+	if err != nil {
+		b.Fatal(err)
+	}
+	Xs, y := scaler.Apply(X), train.Labels()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := TrainSVMCtx(context.Background(), Xs, y, SVMConfig{Seed: 1, Workers: workers}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

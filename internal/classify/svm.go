@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"ips/internal/errs"
 	"ips/internal/obs"
@@ -20,8 +22,13 @@ type SVMConfig struct {
 	// Epochs bounds the number of dual coordinate descent passes
 	// (default 1000; the solver stops earlier on convergence).
 	Epochs int
-	// Seed drives the coordinate visiting order.
+	// Seed drives the coordinate visiting order: class c's problem visits
+	// the coordinates in the permutation drawn from Seed + c.
 	Seed int64
+	// Workers is the number of goroutines the one-vs-rest problems fan out
+	// over (<=1 means the calling goroutine).  The model is bit-identical
+	// for any value.
+	Workers int
 }
 
 func (c SVMConfig) defaults(n int) SVMConfig {
@@ -44,13 +51,38 @@ type SVM struct {
 	B []float64
 }
 
+const (
+	// svmLanes is how many one-vs-rest problems one goroutine advances in
+	// lockstep.
+	svmLanes = 4
+	// svmBias is the constant feature each example is augmented with, so
+	// the bias is learned as one more weight.
+	svmBias = 1.0
+	// svmTol stops a problem after a pass whose largest |Δα| is below it.
+	svmTol = 1e-8
+)
+
 // TrainSVMCtx fits one binary hinge-loss SVM per class on features X with
-// labels y.  sp receives a sub-span per one-vs-rest problem annotated with
-// the coordinate-descent passes it took to converge, and a
+// labels y.
+//
+// The one-vs-rest problems fan out over cfg.Workers goroutines, and each
+// goroutine advances up to four of them in lockstep lanes: at every step of
+// a pass each lane updates one coordinate of its own problem, and the
+// lanes' scores w·x are summed in one loop, so their add chains overlap
+// instead of waiting on each other.  A problem leaves its lane when it
+// converges or reaches cfg.Epochs, and the next queued problem takes the
+// lane.  Every problem keeps its own visiting order, dual variables,
+// weights and bias and performs the same operations in the same order as
+// it would alone, so W, B and the pass counts are bit-identical for any
+// worker count.
+//
+// sp receives one svm.class-N sub-span per problem, in class order, open
+// from the start of training until the problem leaves its lane and
+// annotated with the coordinate-descent passes it took, and a
 // classify.svm.passes counter totalling them.  A nil span disables all of
-// it; the trained weights are identical either way.  Cancellation is checked
-// per coordinate-descent pass; a cancelled run returns a nil model and an
-// error matching errs.ErrCanceled.
+// it; the trained weights are identical either way.  Cancellation is
+// checked before every pass; a cancelled run returns a nil model and an
+// error matching errs.ErrCanceled once every goroutine has stopped.
 //
 //ips:blocking
 func TrainSVMCtx(ctx context.Context, X [][]float64, y []int, cfg SVMConfig, sp *obs.Span) (*SVM, error) {
@@ -58,8 +90,13 @@ func TrainSVMCtx(ctx context.Context, X [][]float64, y []int, cfg SVMConfig, sp 
 		return nil, errs.BadInput(errs.StageTrain, "classify.svm", "",
 			"bad training shape: %d rows, %d labels", len(X), len(y))
 	}
-	cfg = cfg.defaults(len(X))
 	dim := len(X[0])
+	for i, row := range X {
+		if len(row) != dim {
+			return nil, errs.BadInput(errs.StageTrain, "classify.svm", "",
+				"ragged features: row %d has %d, row 0 has %d", i, len(row), dim)
+		}
+	}
 	classSet := map[int]bool{}
 	for _, c := range y {
 		classSet[c] = true
@@ -73,90 +110,225 @@ func TrainSVMCtx(ctx context.Context, X [][]float64, y []int, cfg SVMConfig, sp 
 		return nil, errs.BadInput(errs.StageTrain, "classify.svm", "",
 			"need at least two classes, have %d", len(classes))
 	}
-	passesCtr := sp.Metrics().Counter("classify.svm.passes")
-	m := &SVM{Classes: classes, W: make([][]float64, len(classes)), B: make([]float64, len(classes))}
-	for ci, class := range classes {
-		csp := sp.Child("svm.class-" + strconv.Itoa(class))
-		w, b, passes, err := dualCD(ctx, X, y, class, dim, cfg)
-		passesCtr.Add(int64(passes))
-		csp.SetInt("passes", int64(passes))
-		csp.End()
-		if err != nil {
-			return nil, err
+	cfg = cfg.defaults(len(X))
+	s := newSVMSolver(X, y, classes, cfg)
+	for _, class := range classes {
+		s.spans = append(s.spans, sp.Child("svm.class-"+strconv.Itoa(class)))
+	}
+
+	// Spread the problems over as many goroutines as the workers allow
+	// before giving one goroutine several lanes; a goroutine with more
+	// than four problems to solve refills its lanes from the queue.
+	k := len(classes)
+	workers := min(max(cfg.Workers, 1), k)
+	width := min(svmLanes, (k+workers-1)/workers)
+	workers = min(workers, (k+width-1)/width)
+	var err error
+	if workers == 1 {
+		err = s.work(ctx, width)
+	} else {
+		var wg sync.WaitGroup
+		errc := make([]error, workers)
+		for g := range errc {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				errc[g] = s.work(ctx, width)
+			}(g)
 		}
-		m.W[ci] = w
-		m.B[ci] = b
+		wg.Wait()
+		for _, e := range errc {
+			if e != nil {
+				err = e
+				break
+			}
+		}
+	}
+
+	passesCtr := sp.Metrics().Counter("classify.svm.passes")
+	m := &SVM{Classes: classes, W: make([][]float64, k), B: make([]float64, k)}
+	for ci, p := range s.done {
+		passes := 0
+		if p != nil {
+			passes = p.passes
+			m.W[ci], m.B[ci] = p.w, p.b
+		}
+		passesCtr.Add(int64(passes))
+		s.spans[ci].SetInt("passes", int64(passes))
+		s.spans[ci].End()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// dualCD solves the binary "class vs rest" L1-loss SVM dual by coordinate
-// descent and reports how many passes it took.  The bias is handled by
-// augmenting each example with a constant feature.  The context is checked
-// once per pass, bounding cancellation latency to one O(n·dim) sweep.
-func dualCD(ctx context.Context, X [][]float64, y []int, class, dim int, cfg SVMConfig) ([]float64, float64, int, error) {
-	n := len(X)
-	C := 1 / (cfg.Lambda * float64(n))
-	const biasFeature = 1.0
-	// Precompute labels and Q_ii = ‖x_i‖² + bias².
-	labels := make([]float64, n)
+// svmSolver holds what the one-vs-rest problems share: the features, the
+// diagonal Q_ii = ‖x_i‖² + bias² (at least 1, so every step may divide by
+// it), the budget C, and the queue of problems not yet started.  Each problem's result lands in done at its class index.
+type svmSolver struct {
+	X       [][]float64
+	y       []int
+	classes []int
+	qii     []float64
+	C       float64
+	cfg     SVMConfig
+	// idle pads a group to svmLanes lanes: zero weights, never updated.
+	idle *svmProblem
+
+	next  atomic.Int64 // class index of the next problem to start
+	done  []*svmProblem
+	spans []*obs.Span
+}
+
+// svmProblem is the state of the binary "class vs rest" L1-loss SVM dual.
+type svmProblem struct {
+	ci       int       // index into the solver's classes
+	order    []int     // coordinate visiting order
+	labels   []float64 // +1 for the class, −1 for the rest
+	alpha    []float64
+	w        []float64
+	b        float64
+	passes   int
+	maxDelta float64 // largest |Δα| of the current pass
+}
+
+func newSVMSolver(X [][]float64, y []int, classes []int, cfg SVMConfig) *svmSolver {
+	n, dim := len(X), len(X[0])
 	qii := make([]float64, n)
 	for i, row := range X {
-		labels[i] = -1
-		if y[i] == class {
-			labels[i] = 1
-		}
 		var q float64
 		for _, v := range row {
 			q += v * v
 		}
-		qii[i] = q + biasFeature*biasFeature
+		qii[i] = q + svmBias*svmBias
 	}
-	alpha := make([]float64, n)
-	w := make([]float64, dim)
-	var b float64
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(class)))
-	order := rng.Perm(n)
-	const tol = 1e-8
-	passes := 0
-	for pass := 0; pass < cfg.Epochs; pass++ {
-		if err := errs.Ctx(ctx, errs.StageTrain, "classify.svm"); err != nil {
-			return nil, 0, passes, err
+	return &svmSolver{
+		X: X, y: y, classes: classes, qii: qii,
+		C:    1 / (cfg.Lambda * float64(n)),
+		cfg:  cfg,
+		idle: &svmProblem{order: make([]int, n), w: make([]float64, dim)},
+		done: make([]*svmProblem, len(classes)),
+	}
+}
+
+// take starts the next queued problem, or returns nil when none is left.
+func (s *svmSolver) take() *svmProblem {
+	ci := int(s.next.Add(1) - 1)
+	if ci >= len(s.classes) {
+		return nil
+	}
+	n, class := len(s.X), s.classes[ci]
+	p := &svmProblem{ci: ci, labels: make([]float64, n), alpha: make([]float64, n), w: make([]float64, len(s.X[0]))}
+	for i, c := range s.y {
+		p.labels[i] = -1
+		if c == class {
+			p.labels[i] = 1
 		}
-		passes++
-		maxDelta := 0.0
-		for _, i := range order {
-			if qii[i] == 0 {
-				continue
+	}
+	p.order = rand.New(rand.NewSource(s.cfg.Seed + int64(class))).Perm(n)
+	return p
+}
+
+// work advances up to width problems in lockstep until the queue is empty.
+// A problem retires after a pass that converged or reached cfg.Epochs, and
+// the next queued problem takes its lane.  The context is checked once per
+// pass, bounding cancellation latency to one O(n·dim) sweep.
+func (s *svmSolver) work(ctx context.Context, width int) error {
+	group := make([]*svmProblem, 0, width)
+	for {
+		for len(group) < width {
+			p := s.take()
+			if p == nil {
+				break
 			}
-			// Gradient of the dual objective for coordinate i.
-			var score float64
-			for j, v := range X[i] {
-				score += w[j] * v
+			group = append(group, p)
+		}
+		if len(group) == 0 {
+			return nil
+		}
+		if err := errs.Ctx(ctx, errs.StageTrain, "classify.svm"); err != nil {
+			for _, p := range group {
+				s.done[p.ci] = p
 			}
-			score += b * biasFeature
-			g := labels[i]*score - 1
-			old := alpha[i]
-			next := math.Min(math.Max(old-g/qii[i], 0), C)
+			return err
+		}
+		s.pass(group)
+		kept := group[:0]
+		for _, p := range group {
+			if p.maxDelta < svmTol || p.passes == s.cfg.Epochs {
+				s.done[p.ci] = p
+				s.spans[p.ci].End()
+			} else {
+				kept = append(kept, p)
+			}
+		}
+		group = kept
+	}
+}
+
+// pass runs one coordinate-descent pass of every problem in group (one to
+// svmLanes of them) in lockstep.  At step t lane k scores coordinate
+// order_k[t] of its own problem: the lanes' w·x sums share one loop but
+// keep one accumulator each, adding in index order, so each sum is
+// bit-identical to a loop of its own.  Lanes beyond len(group) score the
+// idle problem and their scores are dropped.
+func (s *svmSolver) pass(group []*svmProblem) {
+	var lane [svmLanes]*svmProblem
+	for k := range lane {
+		lane[k] = s.idle
+		if k < len(group) {
+			lane[k] = group[k]
+		}
+	}
+	for _, p := range group {
+		p.passes++
+		p.maxDelta = 0
+	}
+	dim := len(s.idle.w)
+	w0, w1, w2, w3 := lane[0].w[:dim], lane[1].w[:dim], lane[2].w[:dim], lane[3].w[:dim]
+	o0, o1, o2, o3 := lane[0].order, lane[1].order, lane[2].order, lane[3].order
+	for t := range o0 {
+		at := [svmLanes]int{o0[t], o1[t], o2[t], o3[t]}
+		x0, x1, x2, x3 := s.X[at[0]][:dim], s.X[at[1]][:dim], s.X[at[2]][:dim], s.X[at[3]][:dim]
+		var s0, s1, s2, s3 float64
+		for j, v := range x0 {
+			s0 += w0[j] * v
+			s1 += w1[j] * x1[j]
+			s2 += w2[j] * x2[j]
+			s3 += w3[j] * x3[j]
+		}
+		score := [svmLanes]float64{s0, s1, s2, s3}
+		for k, p := range group {
+			// One dual coordinate-descent step on coordinate i.  The builtin
+			// min and max treat NaN and signed zeros as math.Min and
+			// math.Max do, without the call.
+			i := at[k]
+			score[k] += p.b * svmBias
+			g := p.labels[i]*score[k] - 1
+			old := p.alpha[i]
+			next := min(max(old-g/s.qii[i], 0), s.C)
 			//lint:ignore ipslint/floateq no-op update check: both sides come from the same clamp, so equality is exact
 			if next == old {
 				continue
 			}
-			d := (next - old) * labels[i]
-			for j, v := range X[i] {
-				w[j] += d * v
-			}
-			b += d * biasFeature
-			alpha[i] = next
-			if delta := math.Abs(next - old); delta > maxDelta {
-				maxDelta = delta
-			}
-		}
-		if maxDelta < tol {
-			break
+			p.update(s.X[i], i, old, next)
 		}
 	}
-	return w, b, passes, nil
+}
+
+// update moves coordinate i of p's dual from old to next and folds the
+// change into the primal weights w and bias b.
+func (p *svmProblem) update(x []float64, i int, old, next float64) {
+	d := (next - old) * p.labels[i]
+	for j, v := range x {
+		p.w[j] += d * v
+	}
+	p.b += d * svmBias
+	p.alpha[i] = next
+	if delta := math.Abs(next - old); delta > p.maxDelta {
+		p.maxDelta = delta
+	}
 }
 
 // Decision returns the decision value of each class for x, aligned with

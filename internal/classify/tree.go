@@ -3,6 +3,7 @@ package classify
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -49,24 +50,37 @@ func TrainTree(X [][]float64, y []int, cfg TreeConfig) (*Tree, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	return &Tree{root: growTree(X, y, idx, cfg, 0)}, nil
+	// Dense class indices in ascending label order: the tree counts classes
+	// in slices and sums impurities in class order.
+	labels := append([]int(nil), y...)
+	sort.Ints(labels)
+	labels = slices.Compact(labels)
+	cls := make([]int, len(y))
+	for i, label := range y {
+		cls[i], _ = slices.BinarySearch(labels, label)
+	}
+	return &Tree{root: growTree(X, cls, labels, idx, cfg, 0)}, nil
 }
 
-func majority(y []int, idx []int) int {
-	counts := map[int]int{}
+// majority returns the most frequent label among rows idx, the smallest
+// such label on a tie.
+func majority(cls, labels, idx []int) int {
+	counts := make([]int, len(labels))
 	for _, i := range idx {
-		counts[y[i]]++
+		counts[cls[i]]++
 	}
-	best, bestN := 0, -1
-	for label, n := range counts {
-		if n > bestN || (n == bestN && label < best) {
-			best, bestN = label, n
+	best := 0
+	for c, n := range counts {
+		if n > counts[best] {
+			best = c
 		}
 	}
-	return best
+	return labels[best]
 }
 
-func gini(counts map[int]int, total int) float64 {
+// gini is the Gini impurity of a node with the given per-class counts.  It
+// sums in class order, so equal counts always give equal bits.
+func gini(counts []int, total int) float64 {
 	if total == 0 {
 		return 0
 	}
@@ -78,38 +92,38 @@ func gini(counts map[int]int, total int) float64 {
 	return g
 }
 
-func growTree(X [][]float64, y []int, idx []int, cfg TreeConfig, depth int) *treeNode {
+// growTree grows the subtree over rows idx; row i has label
+// labels[cls[i]].
+func growTree(X [][]float64, cls, labels, idx []int, cfg TreeConfig, depth int) *treeNode {
 	// Pure node or depth/size limits reached → leaf.
 	pure := true
 	for _, i := range idx[1:] {
-		if y[i] != y[idx[0]] {
+		if cls[i] != cls[idx[0]] {
 			pure = false
 			break
 		}
 	}
 	if pure || depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeaf {
-		return &treeNode{label: majority(y, idx)}
+		return &treeNode{label: majority(cls, labels, idx)}
 	}
 
 	nFeatures := len(X[idx[0]])
 	bestFeature, bestThreshold := -1, 0.0
 	bestScore := math.Inf(1)
 	order := make([]int, len(idx))
+	leftCounts, rightCounts := make([]int, len(labels)), make([]int, len(labels))
 	for f := 0; f < nFeatures; f++ {
 		copy(order, idx)
 		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
-		leftCounts := map[int]int{}
-		rightCounts := map[int]int{}
+		clear(leftCounts)
+		clear(rightCounts)
 		for _, i := range order {
-			rightCounts[y[i]]++
+			rightCounts[cls[i]]++
 		}
 		for pos := 0; pos < len(order)-1; pos++ {
 			i := order[pos]
-			leftCounts[y[i]]++
-			rightCounts[y[i]]--
-			if rightCounts[y[i]] == 0 {
-				delete(rightCounts, y[i])
-			}
+			leftCounts[cls[i]]++
+			rightCounts[cls[i]]--
 			//lint:ignore ipslint/floateq adjacent sorted values: exact tie detection is the split-point definition
 			if X[order[pos+1]][f] == X[i][f] {
 				continue // split must separate distinct values
@@ -127,7 +141,7 @@ func growTree(X [][]float64, y []int, idx []int, cfg TreeConfig, depth int) *tre
 		}
 	}
 	if bestFeature < 0 {
-		return &treeNode{label: majority(y, idx)}
+		return &treeNode{label: majority(cls, labels, idx)}
 	}
 	var leftIdx, rightIdx []int
 	for _, i := range idx {
@@ -138,13 +152,13 @@ func growTree(X [][]float64, y []int, idx []int, cfg TreeConfig, depth int) *tre
 		}
 	}
 	if len(leftIdx) == 0 || len(rightIdx) == 0 {
-		return &treeNode{label: majority(y, idx)}
+		return &treeNode{label: majority(cls, labels, idx)}
 	}
 	return &treeNode{
 		feature:   bestFeature,
 		threshold: bestThreshold,
-		left:      growTree(X, y, leftIdx, cfg, depth+1),
-		right:     growTree(X, y, rightIdx, cfg, depth+1),
+		left:      growTree(X, cls, labels, leftIdx, cfg, depth+1),
+		right:     growTree(X, cls, labels, rightIdx, cfg, depth+1),
 	}
 }
 

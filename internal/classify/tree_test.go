@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -95,5 +96,52 @@ func TestTreeConstantFeatures(t *testing.T) {
 	}
 	if tree.Predict([]float64{1, 1}) != 0 {
 		t.Fatal("majority leaf should predict class 0")
+	}
+}
+
+// treeSignature flattens a tree into its split features, threshold bits
+// and leaf labels in preorder.
+func treeSignature(n *treeNode, out []uint64) []uint64 {
+	if n.left == nil {
+		return append(out, 1, uint64(n.label))
+	}
+	out = append(out, 0, uint64(n.feature), math.Float64bits(n.threshold))
+	return treeSignature(n.right, treeSignature(n.left, out))
+}
+
+// TestTreeDeterministicManyClasses trains the same tree 200 times on twelve
+// classes whose two feature columns are identical, so every split on one
+// column ties exactly with the same split on the other and only the Gini
+// impurity's rounding decides between them.  Summing the impurity in
+// class order makes that rounding, and so every tree, the same.
+func TestTreeDeterministicManyClasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var X [][]float64
+	var y []int
+	for i := 0; i < 240; i++ {
+		v := rng.Float64()
+		label := int(v*12) + rng.Intn(3) // neighbouring classes overlap
+		X = append(X, []float64{v, v})
+		y = append(y, 100-7*label)
+	}
+	var want []uint64
+	for call := 0; call < 200; call++ {
+		tree, err := TrainTree(X, y, TreeConfig{MaxDepth: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := treeSignature(tree.root, nil)
+		if call == 0 {
+			want = got
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("call %d: tree shape differs from call 0", call)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("call %d: tree differs from call 0 at preorder word %d", call, i)
+			}
+		}
 	}
 }

@@ -93,10 +93,14 @@ type Model struct {
 	SVM                 *classify.SVM
 	// Discoveries records each channel's discovery result.
 	Discoveries []*core.Result
+
+	workers int
 }
 
 // Fit discovers shapelets on every channel and trains one SVM on the
-// concatenated per-channel shapelet transforms.  Channels on which discovery
+// concatenated per-channel shapelet transforms.  opt.Workers parallelises
+// discovery, the transforms and the SVM, here and in the model's Predict;
+// the model is bit-identical for any value.  Channels on which discovery
 // fails (e.g. a constant channel) contribute no features but do not abort
 // the fit, as long as at least one channel succeeds.  Cancellation is the
 // exception: a ctx error aborts the whole fit immediately with an error
@@ -111,7 +115,8 @@ func Fit(ctx context.Context, train *Dataset, opt core.Options) (*Model, error) 
 	if err := train.Validate(); err != nil {
 		return nil, errs.BadInputErr(errs.StageValidate, "mts.fit", train.Name, err)
 	}
-	m := &Model{}
+	opt = opt.WithDefaults()
+	m := &Model{workers: opt.Workers}
 	channels := train.NumChannels()
 	for c := 0; c < channels; c++ {
 		res, err := core.Discover(ctx, train.Channel(c), opt)
@@ -160,7 +165,7 @@ func (m *Model) embed(ctx context.Context, d *Dataset) ([][]float64, error) {
 		if len(sh) == 0 {
 			continue
 		}
-		X, err := classify.TransformWith(ctx, d.Channel(c), sh, classify.TransformConfig{})
+		X, err := classify.TransformWith(ctx, d.Channel(c), sh, classify.TransformConfig{Workers: m.workers})
 		if err != nil {
 			return nil, errs.Wrap(errs.StageTransform, "mts.embed", d.Name, err)
 		}
