@@ -95,7 +95,7 @@ func (h *Harness) Fig10a(ctx context.Context, datasets []string) ([]Fig10aRow, e
 
 		sw = obs.NewStopwatch()
 		nsp := dsp.Child("prune-naive")
-		if _, _, err := dabf.NaivePrune(ctx, pool, cfg.DABF.Dim, cfg.DABF.Sigma); err != nil {
+		if _, _, err := dabf.NaivePrune(ctx, pool, cfg.DABF, nsp); err != nil {
 			nsp.End()
 			dsp.End()
 			return nil, err

@@ -85,7 +85,7 @@ func (h *Harness) Table5(ctx context.Context, datasets []string) ([]Table5Row, e
 
 		sw = obs.NewStopwatch()
 		nsp := dsp.Child("prune-naive")
-		if _, _, err := dabf.NaivePrune(ctx, pool, cfg.DABF.Dim, cfg.DABF.Sigma); err != nil {
+		if _, _, err := dabf.NaivePrune(ctx, pool, cfg.DABF, nsp); err != nil {
 			nsp.End()
 			dsp.End()
 			return nil, err

@@ -50,7 +50,7 @@ func BenchmarkAblationPruneNaive(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := dabf.NaivePrune(context.Background(), pool, filt.Cfg.Dim, filt.Cfg.Sigma); err != nil {
+				if _, _, err := dabf.NaivePrune(context.Background(), pool, filt.Cfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -41,16 +41,16 @@ type SelectionConfig struct {
 	K     int  // shapelets per class (paper default 5)
 	UseDT bool // distribution transformation (Formula 15/16)
 	UseCR bool // computation reuse
-	// DiversityTau rejects a polled candidate whose Def. 4 distance to an
-	// already selected shapelet of the same class is below this fraction of
-	// the candidate's variance (near-duplicates); 0 means the default 0.01,
-	// negative disables the guard.  Addresses the paper's 2nd issue (§II-B):
-	// similar subsequences as shapelets.
-	DiversityTau float64
 	// Span, when non-nil, receives per-class sub-spans with per-utility
 	// timing and distance-evaluation counters.
 	Span *obs.Span
 }
+
+// diversityTau rejects a polled candidate whose Def. 4 distance to an
+// already selected shapelet of the same class is below this fraction of the
+// candidate's variance (near-duplicates).  Addresses the paper's 2nd issue
+// (§II-B): similar subsequences as shapelets.
+const diversityTau = 0.01
 
 // SelectTopK runs Algorithm 4: scores every motif candidate of every class
 // with the three utilities and polls the k best per class.  d may be nil
@@ -110,15 +110,11 @@ func SelectTopK(ctx context.Context, pool *ip.Pool, train *ts.Dataset, d *dabf.D
 			q = append(q, scoredCandidate{cand: m, score: scores[i]})
 		}
 		heap.Init(&q)
-		tau := cfg.DiversityTau
-		if tau == 0 {
-			tau = 0.01
-		}
 		var picked []classify.Shapelet
 		var skipped []scoredCandidate
 		for len(picked) < cfg.K && q.Len() > 0 {
 			sc := heap.Pop(&q).(scoredCandidate)
-			if tau > 0 && isNearDuplicate(sc.cand.Values, picked, tau) {
+			if isNearDuplicate(sc.cand.Values, picked) {
 				skipped = append(skipped, sc)
 				continue
 			}
@@ -146,11 +142,11 @@ func SelectTopK(ctx context.Context, pool *ip.Pool, train *ts.Dataset, d *dabf.D
 }
 
 // isNearDuplicate reports whether the candidate is, under the Def. 4
-// distance, within tau·variance of an already selected shapelet of the same
-// class.
-func isNearDuplicate(values ts.Series, picked []classify.Shapelet, tau float64) bool {
+// distance, within diversityTau·variance of an already selected shapelet of
+// the same class.
+func isNearDuplicate(values ts.Series, picked []classify.Shapelet) bool {
 	_, std := ts.MeanStd(values)
-	limit := tau * std * std
+	limit := diversityTau * std * std
 	if limit <= 0 {
 		limit = 1e-9
 	}

@@ -2,6 +2,7 @@
 // functions of Def. 11–13, the DT (distribution transformation) and CR
 // (computation reuse) optimisations of §III-E, the top-k shapelet selection
 // of Algorithm 4, and the end-to-end Discover/Fit/Evaluate entry points.
+// Raw and DT scoring run the same utility loop with different distances.
 package core
 
 import (
@@ -77,69 +78,56 @@ func (u *utilities) scores() []float64 {
 	return out
 }
 
-// rawUtilities computes the three utility sums for the motifs of class c
-// using raw Def. 4 distances.  useCR enables computation reuse: each
-// symmetric pairwise distance is computed once and credited to both
-// endpoints; without it the loops recompute every pair from both sides,
-// reproducing the cost the CR optimisation removes.  Each utility gets its
-// own sub-span of sp; distance-evaluation counts are derived arithmetically
-// so the loops themselves carry no instrumentation cost.  The context is
-// polled every utilityCheckEvery rows; cancellation returns a nil utilities
-// struct and an error matching errs.ErrCanceled.
-func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candidate, instances []ts.Instance, useCR bool, sp *obs.Span) (*utilities, error) {
-	n := len(motifs)
+// sumUtilities is the utility loop the raw and DT paths share: it
+// accumulates the three utility sums for the n motifs at the front of cands
+// against each other, against the other classes' candidates behind them, and
+// against the class's instances.  Each path supplies only pair, its distance
+// between two candidates, and dcColumn, which fills col[i] with motif i's
+// distance to instance ii.  useCR enables computation reuse: each symmetric
+// intra-class distance is computed once and credited to both endpoints;
+// without it the loop computes every pair from both sides, reproducing the
+// cost the CR optimisation removes.  Each utility gets its own sub-span of
+// sp; the evaluations are counted arithmetically into the counter named
+// dists, so the loops themselves carry no instrumentation cost.  The context
+// is polled every utilityCheckEvery rows; cancellation returns a nil
+// utilities struct and an error matching errs.ErrCanceled.
+func sumUtilities[T any](ctx context.Context, cands []T, n, instances int, useCR bool,
+	pair func(a, b T) float64, dcColumn func(ii int, col []float64) error, dists string, sp *obs.Span) (*utilities, error) {
 	u := &utilities{
 		intra: make([]float64, n),
 		inter: make([]float64, n),
 		dc:    make([]float64, n),
 	}
-	dists := sp.Metrics().Counter("core.select.raw_dists")
-	// All three utilities run on the batched engine: every motif, other
-	// candidate and instance is prepared once, and each pairwise value is
-	// byte-identical to the ts.Dist it replaces.
-	pm := prepareValues(motifs)
-	po := prepareValues(others)
-	var counts dist.Counts
-	pair := func(a, b *dist.Prepared) float64 {
-		if a.Len() < b.Len() {
-			a, b = b, a // the longer side is the series; the shorter one slides
-		}
-		return a.DistCounted(b.Series(), &counts)
-	}
+	counter := sp.Metrics().Counter(dists)
+	motifs, others := cands[:n], cands[n:]
 	intraSp := sp.Child("utility.intra")
-	if useCR {
-		// Intra: symmetric matrix, compute the upper triangle once.
-		for i := 0; i < n; i++ {
-			if i%utilityCheckEvery == 0 {
-				if err := errs.Ctx(ctx, errs.StageSelection, "utility.intra"); err != nil {
-					intraSp.End()
-					return nil, err
-				}
+	for i := 0; i < n; i++ {
+		if i%utilityCheckEvery == 0 {
+			if err := errs.Ctx(ctx, errs.StageSelection, "utility.intra"); err != nil {
+				intraSp.End()
+				return nil, err
 			}
+		}
+		if useCR {
+			// Symmetric matrix: compute the upper triangle once.
 			for j := i + 1; j < n; j++ {
-				d := pair(pm[i], pm[j])
+				d := pair(motifs[i], motifs[j])
 				u.intra[i] += d
 				u.intra[j] += d
 			}
+			continue
 		}
-		dists.Add(int64(n) * int64(n-1) / 2)
-	} else {
-		for i := 0; i < n; i++ {
-			if i%utilityCheckEvery == 0 {
-				if err := errs.Ctx(ctx, errs.StageSelection, "utility.intra"); err != nil {
-					intraSp.End()
-					return nil, err
-				}
-			}
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				u.intra[i] += pair(pm[i], pm[j])
+		for j := 0; j < n; j++ {
+			if i != j {
+				u.intra[i] += pair(motifs[i], motifs[j])
 			}
 		}
-		dists.Add(int64(n) * int64(n-1))
 	}
+	pairs := int64(n) * int64(n-1)
+	if useCR {
+		pairs /= 2
+	}
+	counter.Add(pairs)
 	intraSp.End()
 	interSp := sp.Child("utility.inter")
 	// Inter: each (motif, other) pair computed once; CR has nothing to
@@ -151,31 +139,25 @@ func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candid
 				return nil, err
 			}
 		}
-		for _, o := range po {
-			u.inter[i] += pair(pm[i], o)
+		for _, o := range others {
+			u.inter[i] += pair(motifs[i], o)
 		}
 	}
-	dists.Add(int64(n) * int64(len(others)))
+	counter.Add(int64(n) * int64(len(others)))
 	interSp.End()
 	dcSp := sp.Child("utility.dc")
-	// DC: instance-outer with one batch over the motifs, so every motif
-	// shares each instance's sliding statistics.  dc[i] still accumulates
-	// in instance order, preserving the original summation order exactly.
-	motifValues := make([][]float64, n)
-	for i, m := range motifs {
-		motifValues[i] = m.Values
-	}
-	batch := dist.NewBatch(motifValues)
+	// DC: instance-outer, one column of motif distances per instance, so the
+	// raw path's engine shares each instance's sliding statistics across all
+	// motifs.  dc[i] still accumulates in instance order.
 	col := make([]float64, n)
-	var scratch dist.Scratch
-	for ii, in := range instances {
+	for ii := 0; ii < instances; ii++ {
 		if ii%utilityCheckEvery == 0 {
 			if err := errs.Ctx(ctx, errs.StageSelection, "utility.dc"); err != nil {
 				dcSp.End()
 				return nil, err
 			}
 		}
-		if err := batch.EvalScratchCtx(ctx, dist.Prepare(in.Values), col, &counts, &scratch); err != nil {
+		if err := dcColumn(ii, col); err != nil {
 			dcSp.End()
 			return nil, err
 		}
@@ -183,8 +165,41 @@ func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candid
 			u.dc[i] += col[i]
 		}
 	}
-	dists.Add(int64(n) * int64(len(instances)))
+	counter.Add(int64(n) * int64(instances))
 	dcSp.End()
+	return u, nil
+}
+
+// rawUtilities computes the three utility sums for the motifs of class c
+// through sumUtilities with raw Def. 4 distances.  All three utilities run
+// on the batched engine: every motif, other candidate and instance is
+// prepared once, and each pairwise value is byte-identical to the ts.Dist it
+// replaces.  The engine's kernel counts are published to sp's metrics once
+// the sums are complete.
+func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candidate, instances []ts.Instance, useCR bool, sp *obs.Span) (*utilities, error) {
+	cands := append(prepareValues(motifs), prepareValues(others)...)
+	var counts dist.Counts
+	pair := func(a, b *dist.Prepared) float64 {
+		if a.Len() < b.Len() {
+			a, b = b, a // the longer side is the series; the shorter one slides
+		}
+		return a.DistCounted(b.Series(), &counts)
+	}
+	// One batch over the motifs, so every motif shares each instance's
+	// sliding statistics.
+	motifValues := make([][]float64, len(motifs))
+	for i, m := range motifs {
+		motifValues[i] = m.Values
+	}
+	batch := dist.NewBatch(motifValues)
+	var scratch dist.Scratch
+	dcColumn := func(ii int, col []float64) error {
+		return batch.EvalScratchCtx(ctx, dist.Prepare(instances[ii].Values), col, &counts, &scratch)
+	}
+	u, err := sumUtilities(ctx, cands, len(motifs), len(instances), useCR, pair, dcColumn, "core.select.raw_dists", sp)
+	if err != nil {
+		return nil, err
+	}
 	counts.AddTo(sp.Metrics())
 	return u, nil
 }
@@ -202,99 +217,34 @@ func prepareValues(cands []ip.Candidate) []*dist.Prepared {
 // dtUtilities computes the utility sums through the DT optimisation
 // (Formula 15/16): raw Def. 4 distances are replaced by distances in the
 // class DABF's LSH projection space, the ‖LSH(Can_i) − LSH(Can_j)‖ lower
-// bound of Formula 15.  Each candidate is hashed once (O(Dim·NumHashes))
-// and every pairwise evaluation is then O(NumHashes) instead of O(L²).
-// useCR additionally reuses the symmetric intra sums.  The context is polled
-// every utilityCheckEvery rows, as in rawUtilities; the DT rows are far
-// cheaper (O(NumHashes) per pair) so the latency bound is tighter here.
+// bound of Formula 15.  Each candidate and instance is hashed once
+// (O(Dim·NumHashes)) and every evaluation in sumUtilities is then
+// O(NumHashes) instead of O(L²), so the shared loop's cancellation latency
+// is tighter here than on the raw path.
 func dtUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candidate, instances []ts.Instance,
 	cf *dabf.ClassFilter, dim int, useCR bool, sp *obs.Span) (*utilities, error) {
-	n := len(motifs)
-	u := &utilities{
-		intra: make([]float64, n),
-		inter: make([]float64, n),
-		dc:    make([]float64, n),
-	}
-	dists := sp.Metrics().Counter("core.select.dt_dists")
-	// Hash everything once.
 	hashSp := sp.Child("utility.hash")
-	mb := make([][]float64, n)
-	for i, m := range motifs {
-		mb[i] = cf.ProjectValues(m.Values, dim)
-	}
-	ob := make([][]float64, len(others))
-	for i, o := range others {
-		ob[i] = cf.ProjectValues(o.Values, dim)
+	cands := make([][]float64, 0, len(motifs)+len(others))
+	for _, cs := range [][]ip.Candidate{motifs, others} {
+		for _, c := range cs {
+			cands = append(cands, cf.ProjectValues(c.Values, dim))
+		}
 	}
 	ib := make([][]float64, len(instances))
 	for i, in := range instances {
 		ib[i] = cf.ProjectValues(in.Values, dim)
 	}
-	sp.Metrics().Counter("core.select.hashes").Add(int64(n + len(others) + len(instances)))
+	sp.Metrics().Counter("core.select.hashes").Add(int64(len(cands) + len(instances)))
 	hashSp.End()
 	if err := errs.Ctx(ctx, errs.StageSelection, "utility.hash"); err != nil {
 		return nil, err
 	}
-	intraSp := sp.Child("utility.intra")
-	if useCR {
-		for i := 0; i < n; i++ {
-			if i%utilityCheckEvery == 0 {
-				if err := errs.Ctx(ctx, errs.StageSelection, "utility.intra"); err != nil {
-					intraSp.End()
-					return nil, err
-				}
-			}
-			for j := i + 1; j < n; j++ {
-				d := ts.EuclideanDist(mb[i], mb[j])
-				u.intra[i] += d
-				u.intra[j] += d
-			}
+	mb := cands[:len(motifs)]
+	dcColumn := func(ii int, col []float64) error {
+		for i, m := range mb {
+			col[i] = ts.EuclideanDist(m, ib[ii])
 		}
-		dists.Add(int64(n) * int64(n-1) / 2)
-	} else {
-		for i := 0; i < n; i++ {
-			if i%utilityCheckEvery == 0 {
-				if err := errs.Ctx(ctx, errs.StageSelection, "utility.intra"); err != nil {
-					intraSp.End()
-					return nil, err
-				}
-			}
-			for j := 0; j < n; j++ {
-				if i != j {
-					u.intra[i] += ts.EuclideanDist(mb[i], mb[j])
-				}
-			}
-		}
-		dists.Add(int64(n) * int64(n-1))
+		return nil
 	}
-	intraSp.End()
-	interSp := sp.Child("utility.inter")
-	for i := 0; i < n; i++ {
-		if i%utilityCheckEvery == 0 {
-			if err := errs.Ctx(ctx, errs.StageSelection, "utility.inter"); err != nil {
-				interSp.End()
-				return nil, err
-			}
-		}
-		for _, b := range ob {
-			u.inter[i] += ts.EuclideanDist(mb[i], b)
-		}
-	}
-	dists.Add(int64(n) * int64(len(others)))
-	interSp.End()
-	dcSp := sp.Child("utility.dc")
-	for i := 0; i < n; i++ {
-		if i%utilityCheckEvery == 0 {
-			if err := errs.Ctx(ctx, errs.StageSelection, "utility.dc"); err != nil {
-				dcSp.End()
-				return nil, err
-			}
-		}
-		for _, b := range ib {
-			u.dc[i] += ts.EuclideanDist(mb[i], b)
-		}
-	}
-	dists.Add(int64(n) * int64(len(instances)))
-	dcSp.End()
-	return u, nil
+	return sumUtilities(ctx, cands, len(motifs), len(instances), useCR, ts.EuclideanDist, dcColumn, "core.select.dt_dists", sp)
 }

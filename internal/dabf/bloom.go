@@ -1,7 +1,8 @@
 // Package dabf implements the distribution-aware bloom filter of §III-B/C of
 // the IPS paper (Algorithms 2 and 3), together with the classic Bloom
 // filter [4] it generalises (BSPCOVER's filter) and the naive quadratic
-// pruning method it is compared against (Table V, Fig. 10a).
+// pruning method it is compared against (Table V, Fig. 10a).  Both pruning
+// methods are closeness tests run by one Alg. 3 loop.
 package dabf
 
 import (

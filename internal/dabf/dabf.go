@@ -12,6 +12,7 @@ import (
 	"ips/internal/lsh"
 	"ips/internal/obs"
 	"ips/internal/stats"
+	"ips/internal/ts"
 )
 
 // Config parameterises DABF construction (Algorithm 2).
@@ -22,12 +23,7 @@ type Config struct {
 	Width     float64  // p-stable quantisation width (default 1)
 	Bins      int      // histogram bins for distribution fitting (default 16)
 	Sigma     float64  // z-score threshold θ of the 3σ rule (default 3)
-	// MinKeep is the minimum number of motif candidates PruneSpan retains per
-	// class (default 10): when the θσ rule would remove more, the motifs
-	// with the largest z-scores against other classes — the most
-	// distinctive ones — are kept, so top-k selection never starves.
-	MinKeep int
-	Seed    int64
+	Seed      int64
 }
 
 // Defaults fills zero-valued fields.
@@ -46,9 +42,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.Sigma <= 0 {
 		c.Sigma = 3
-	}
-	if c.MinKeep <= 0 {
-		c.MinKeep = 10
 	}
 	return c
 }
@@ -76,13 +69,11 @@ type ClassFilter struct {
 	// Degenerate marks a class whose projected norms carry no spread —
 	// fewer than two candidates, or all norms identical — so no
 	// distribution can be fitted meaningfully.  A degenerate filter answers
-	// every CloseToMost query with false (zScore returns +Inf): it never
+	// every Alg. 3 query with false (zScore returns +Inf): it never
 	// prunes candidates of other classes, the safe direction for a filter
 	// whose statistics are fiction.  BuildSpan still records Dist/Mu/Sigma for
 	// inspection, but downstream pruning ignores them.
 	Degenerate bool
-
-	sigToRank map[string]int
 }
 
 // DABF is the distribution-aware bloom filter over all classes.
@@ -125,7 +116,7 @@ func BuildSpan(ctx context.Context, pool *ip.Pool, cfg Config, sp *obs.Span) (*D
 			Width:     cfg.Width,
 			Seed:      cfg.Seed + int64(ci),
 		})
-		cf := &ClassFilter{Class: class, Family: family, sigToRank: map[string]int{}}
+		cf := &ClassFilter{Class: class, Family: family}
 
 		// Bucket inserting (Alg. 2 lines 4-6).
 		type acc struct {
@@ -175,9 +166,6 @@ func BuildSpan(ctx context.Context, pool *ip.Pool, cfg Config, sp *obs.Span) (*D
 			}
 			return cf.Buckets[i].Signature < cf.Buckets[j].Signature
 		})
-		for rank, b := range cf.Buckets {
-			cf.sigToRank[b.Signature] = rank
-		}
 
 		// Z-normalise the norms and fit the best distribution
 		// (Alg. 2 lines 8-10, Formula 10).  A class with fewer than two
@@ -245,9 +233,11 @@ func BuildSpan(ctx context.Context, pool *ip.Pool, cfg Config, sp *obs.Span) (*D
 }
 
 // zScore returns the position of the candidate's projected norm within the
-// class's fitted distribution, in standard deviations.  A degenerate filter
-// (see ClassFilter.Degenerate) places everything infinitely far away, so it
-// never claims a candidate as "close".
+// class's fitted distribution, in standard deviations: the DABF query of
+// Alg. 3 reads |z| ≤ θ as "possibly close to most elements" of the class and
+// anything farther as "definitely not close to most elements".  A degenerate
+// filter (see ClassFilter.Degenerate) places everything infinitely far away,
+// so it never claims a candidate as "close".
 func (cf *ClassFilter) zScore(values []float64, dim int) float64 {
 	if cf.Degenerate {
 		return math.Inf(1)
@@ -262,14 +252,6 @@ func (cf *ClassFilter) zScore(values []float64, dim int) float64 {
 	return (z - cf.Dist.Mean()) / std
 }
 
-// CloseToMost answers the DABF query of Alg. 3: true means the candidate is
-// "possibly close to most elements" of this class (its normalised projected
-// norm lies within θ standard deviations of the fitted distribution), false
-// means "definitely not close to most elements".
-func (cf *ClassFilter) CloseToMost(values []float64, dim int, theta float64) bool {
-	return math.Abs(cf.zScore(values, dim)) <= theta
-}
-
 // ProjectValues resamples a subsequence to the filter dimension and maps it
 // through the class LSH projection — the ‖LSH(·)‖ space the DT optimisation
 // (Formula 15) measures distances in.
@@ -277,108 +259,87 @@ func (cf *ClassFilter) ProjectValues(values []float64, dim int) []float64 {
 	return cf.Family.Project(lsh.Resample(values, dim))
 }
 
-// BucketIndex returns the rank B_i of the candidate's bucket in the class's
-// distance-ranked bucket list; unseen signatures are mapped to the bucket
-// with the nearest centre norm.  This is the quantity the DT optimisation
-// (Formula 15/16) substitutes for raw distances.
-func (cf *ClassFilter) BucketIndex(values []float64, dim int) int {
-	v := lsh.Resample(values, dim)
-	if rank, ok := cf.sigToRank[cf.Family.Signature(v)]; ok {
-		return rank
-	}
-	n := lsh.Norm(cf.Family, v)
-	// Binary search over the sorted NormDist values.
-	lo, hi := 0, len(cf.Buckets)-1
-	if hi < 0 {
-		return 0
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cf.Buckets[mid].NormDist < n {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo > 0 && math.Abs(cf.Buckets[lo-1].NormDist-n) < math.Abs(cf.Buckets[lo].NormDist-n) {
-		return lo - 1
-	}
-	return lo
-}
-
-// PruneStats summarises a pruning pass.
+// PruneStats summarises a pruning pass.  Passed counts the candidates the
+// closeness test itself let through; Examined − Pruned exceeds it by the
+// motifs the minKeep floor restored.
 type PruneStats struct {
 	Examined int
+	Passed   int
 	Pruned   int
 }
 
-// PruneSpan runs Algorithm 3: every candidate is queried against the DABF
-// of every *other* class; candidates possibly close to most elements of some
-// other class are removed.  A new pool is returned; the input is untouched.
-// At least cfg.MinKeep motif candidates survive per class (the most
-// distinctive ones by z-score) so downstream selection never starves.
+// minKeep is the minimum number of motif candidates either pruning path
+// retains per class: when the closeness test would remove more, the pruned
+// motifs that test scored most distinctive are restored, so top-k selection
+// never starves.
+const minKeep = 10
+
+// pruneCheckEvery bounds the pruning loop's cancellation latency: the
+// context is polled every this many candidates (ctx.Err takes a runtime
+// mutex, so per-candidate polling would add contention for nothing — a
+// single candidate's query work is microseconds).
+const pruneCheckEvery = 64
+
+// closeTest is one pruning path's per-candidate question: is candidate i of
+// class possibly close to most elements of some other class (so pruned)?
+// score ranks a pruned motif for the minKeep refill; larger is more
+// distinctive.
+type closeTest func(class, i int, cand ip.Candidate) (near bool, score float64)
+
+// prune is the Alg. 3 loop both pruning paths share.  It walks every class's
+// candidates, drops each one test calls close, and refills each class up to
+// minKeep motifs with its most distinctive pruned motifs.  A new pool is
+// returned; the input is untouched.
 //
-// It feeds four counters: dabf.prune.examined / accepted / rejected, and
-// dabf.prune.false_positives — candidates the filter answered "possibly
-// close" for but the MinKeep floor restored as the most distinctive of
-// their class, i.e. the measurable proxy for the filter's false-positive
-// side.  Counts are accumulated locally and published once, so the
-// per-candidate loop carries no atomic traffic.  The context is checked
-// once per pruneCheckEvery candidates; a cancelled prune returns a nil pool
-// and an error matching errs.ErrCanceled.
-func PruneSpan(ctx context.Context, pool *ip.Pool, d *DABF, sp *obs.Span) (*ip.Pool, PruneStats, error) {
-	cfg := d.Cfg
+// It feeds five counters: dabf.prune.examined / passed / accepted /
+// rejected, and dabf.prune.false_positives — candidates the test answered
+// "possibly close" for but the minKeep floor restored as the most
+// distinctive of their class, i.e. the measurable proxy for the test's
+// false-positive side.  passed counts the test's own survivors, before the
+// refill.  Counts are accumulated locally and published once, so the
+// per-candidate loop carries no atomic traffic; sp gets the same counts as
+// attributes.  The context is checked once per pruneCheckEvery candidates;
+// a cancelled prune returns a nil pool and an error matching
+// errs.ErrCanceled.
+func prune(ctx context.Context, pool *ip.Pool, op string, test closeTest, sp *obs.Span) (*ip.Pool, PruneStats, error) {
 	out := &ip.Pool{ByClass: map[int][]ip.Candidate{}}
 	var st PruneStats
 	refilled := 0
 	for class, cands := range pool.ByClass {
 		var kept []ip.Candidate
-		// Pruned motifs ranked by distinctiveness for the MinKeep fallback.
+		// Pruned motifs ranked by distinctiveness for the minKeep refill.
 		type rejected struct {
-			idx int
-			z   float64 // smallest |z| across other classes; larger = more distinctive
+			idx   int
+			score float64
 		}
 		var rejectedMotifs []rejected
 		keptMotifs := 0
 		for i, cand := range cands {
 			if i%pruneCheckEvery == 0 {
-				if err := errs.Ctx(ctx, errs.StagePruning, "dabf.prune"); err != nil {
+				if err := errs.Ctx(ctx, errs.StagePruning, op); err != nil {
 					return nil, st, err
 				}
 			}
 			st.Examined++
-			worst := math.Inf(1) // smallest |z| across other classes decides pruning
-			prune := false
-			for otherClass, cf := range d.PerClass {
-				if otherClass == class {
-					continue
-				}
-				z := math.Abs(cf.zScore(cand.Values, cfg.Dim))
-				if z < worst {
-					worst = z
-				}
-				if z <= cfg.Sigma {
-					prune = true
-				}
-			}
-			if prune {
+			if near, score := test(class, i, cand); near {
 				st.Pruned++
 				if cand.Kind == ip.Motif {
-					rejectedMotifs = append(rejectedMotifs, rejected{idx: i, z: worst})
+					rejectedMotifs = append(rejectedMotifs, rejected{idx: i, score: score})
 				}
 				continue
 			}
+			st.Passed++
 			if cand.Kind == ip.Motif {
 				keptMotifs++
 			}
 			kept = append(kept, cand)
 		}
-		if keptMotifs < cfg.MinKeep && len(rejectedMotifs) > 0 {
+		if keptMotifs < minKeep && len(rejectedMotifs) > 0 {
 			sort.Slice(rejectedMotifs, func(a, b int) bool {
-				return rejectedMotifs[a].z > rejectedMotifs[b].z
+				return rejectedMotifs[a].score > rejectedMotifs[b].score
 			})
 			for _, r := range rejectedMotifs {
-				if keptMotifs >= cfg.MinKeep {
+				if keptMotifs >= minKeep {
 					break
 				}
 				kept = append(kept, cands[r.idx])
@@ -391,64 +352,80 @@ func PruneSpan(ctx context.Context, pool *ip.Pool, d *DABF, sp *obs.Span) (*ip.P
 	}
 	if m := sp.Metrics(); m != nil {
 		m.Counter("dabf.prune.examined").Add(int64(st.Examined))
+		m.Counter("dabf.prune.passed").Add(int64(st.Passed))
 		m.Counter("dabf.prune.accepted").Add(int64(st.Examined - st.Pruned))
 		m.Counter("dabf.prune.rejected").Add(int64(st.Pruned))
 		m.Counter("dabf.prune.false_positives").Add(int64(refilled))
 	}
 	sp.SetInt("examined", int64(st.Examined))
+	sp.SetInt("passed", int64(st.Passed))
 	sp.SetInt("pruned", int64(st.Pruned))
 	sp.SetInt("refilled", int64(refilled))
-	obs.Log(ctx).Debug("pruning stats", "op", "dabf.prune",
-		"examined", st.Examined, "pruned", st.Pruned, "refilled", refilled)
+	obs.Log(ctx).Debug("pruning stats", "op", op, "examined", st.Examined,
+		"passed", st.Passed, "pruned", st.Pruned, "refilled", refilled)
 	return out, st, nil
 }
 
-// pruneCheckEvery bounds the pruning loops' cancellation latency: the
-// context is polled every this many candidates (ctx.Err takes a runtime
-// mutex, so per-candidate polling would add contention for nothing — a
-// single candidate's query work is microseconds).
-const pruneCheckEvery = 64
+// PruneSpan runs Algorithm 3 through the shared prune loop: every candidate
+// is queried against the DABF of every *other* class and pruned when its |z|
+// (see zScore) is within θ of some other class's distribution.  A pruned
+// motif's distinctiveness is its smallest |z| across the other classes.
+func PruneSpan(ctx context.Context, pool *ip.Pool, d *DABF, sp *obs.Span) (*ip.Pool, PruneStats, error) {
+	cfg := d.Cfg
+	return prune(ctx, pool, "dabf.prune", func(class, _ int, cand ip.Candidate) (bool, float64) {
+		worst := math.Inf(1) // smallest |z| across other classes
+		near := false
+		for otherClass, cf := range d.PerClass {
+			if otherClass == class {
+				continue
+			}
+			z := math.Abs(cf.zScore(cand.Values, cfg.Dim))
+			if z < worst {
+				worst = z
+			}
+			if z <= cfg.Sigma {
+				near = true
+			}
+		}
+		return near, worst
+	}, sp)
+}
 
-// NaivePrune is the quadratic baseline the DABF replaces (§III-B): for every
-// candidate it computes the raw distance to every candidate of every other
-// class and prunes when at least the Chebyshev fraction (1 − 1/θ²) of them
-// lie below that class's closeness radius (the mean intra-class pairwise
-// distance).  Complexity O(|Φ|² · Dim) versus the DABF's O(|Φ| · Dim).
+// NaivePrune is the quadratic baseline the DABF replaces (§III-B), run
+// through the same prune loop as PruneSpan with the filled cfg's Dim and θ:
+// for every candidate it computes the raw distance to every candidate of
+// every other class and prunes when at least the Chebyshev fraction
+// (1 − 1/θ²) of them lie within that class's closeness radius.  A pruned
+// motif's distinctiveness is its largest close fraction, negated, so the
+// least-close motifs are refilled first.  Complexity O(|Φ|² · Dim) versus
+// the DABF's O(|Φ| · Dim).
 //
 // A class with fewer than two candidates has no intra-class pairwise
 // distances and therefore no closeness radius; such classes never prune
-// anyone (they are skipped in the per-candidate loop), mirroring the
+// anyone (they are skipped in the per-candidate test), mirroring the
 // Degenerate fallback of the DABF proper.  Previously a missing map entry
 // silently read as radius 0, which spuriously counted exact duplicates as
 // "close" while claiming every other candidate was not — neither direction
-// intended.  The context is checked once per pruneCheckEvery candidates;
-// as the quadratic baseline this is the pruning path that most needs
-// cancellation.
-func NaivePrune(ctx context.Context, pool *ip.Pool, dim int, theta float64) (*ip.Pool, PruneStats, error) {
-	if dim <= 0 {
-		dim = 32
-	}
-	if theta <= 0 {
-		theta = 3
-	}
-	// Resample every candidate once.
+// intended.
+func NaivePrune(ctx context.Context, pool *ip.Pool, cfg Config, sp *obs.Span) (*ip.Pool, PruneStats, error) {
+	cfg = cfg.Defaults()
+	theta := cfg.Sigma
+	// Resample every candidate once, and give each class a closeness
+	// radius: mean + θ·std of the intra-class pairwise distances, mirroring
+	// the θσ tolerance the DABF applies in hash space.  Classes without at
+	// least one pair get no radius — see above.
 	resampled := map[int][][]float64{}
+	radius := map[int]float64{}
 	for class, cands := range pool.ByClass {
 		vs := make([][]float64, len(cands))
 		for i, c := range cands {
-			vs[i] = lsh.Resample(c.Values, dim)
+			vs[i] = lsh.Resample(c.Values, cfg.Dim)
 		}
 		resampled[class] = vs
-	}
-	// Closeness radius per class: mean + θ·std of the intra-class pairwise
-	// distances, mirroring the θσ tolerance the DABF applies in hash space.
-	// Classes without at least one pair get no entry — see above.
-	radius := map[int]float64{}
-	for class, vs := range resampled {
 		var ds []float64
 		for i := 0; i < len(vs); i++ {
 			for j := i + 1; j < len(vs); j++ {
-				ds = append(ds, euclid(vs[i], vs[j]))
+				ds = append(ds, ts.EuclideanDist(vs[i], vs[j]))
 			}
 		}
 		if len(ds) > 0 {
@@ -457,84 +434,29 @@ func NaivePrune(ctx context.Context, pool *ip.Pool, dim int, theta float64) (*ip
 		}
 	}
 	quota := 1 - 1/(theta*theta) // Chebyshev's "most elements"
-	const minKeep = 10           // same starvation floor as PruneSpan
-	out := &ip.Pool{ByClass: map[int][]ip.Candidate{}}
-	var st PruneStats
-	for class, cands := range pool.ByClass {
-		var kept []ip.Candidate
-		keptMotifs := 0
-		type rejected struct {
-			idx      int
-			maxClose float64 // largest close-fraction seen; smaller = more distinctive
-		}
-		var rejectedMotifs []rejected
-		for i, cand := range cands {
-			if i%pruneCheckEvery == 0 {
-				if err := errs.Ctx(ctx, errs.StagePruning, "dabf.naive-prune"); err != nil {
-					return nil, st, err
+	return prune(ctx, pool, "dabf.naive-prune", func(class, i int, _ ip.Candidate) (bool, float64) {
+		v := resampled[class][i]
+		near := false
+		worstClose := 0.0 // largest close fraction across other classes
+		for otherClass, ovs := range resampled {
+			r, ok := radius[otherClass]
+			if otherClass == class || !ok {
+				continue // a class of fewer than two candidates prunes no one
+			}
+			n := 0
+			for _, ov := range ovs {
+				if ts.EuclideanDist(v, ov) <= r {
+					n++
 				}
 			}
-			st.Examined++
-			v := resampled[class][i]
-			prune := false
-			worstClose := 0.0
-			for otherClass, ovs := range resampled {
-				if otherClass == class || len(ovs) == 0 {
-					continue
-				}
-				r, ok := radius[otherClass]
-				if !ok {
-					continue // single-candidate class: no radius, prunes no one
-				}
-				close := 0
-				for _, ov := range ovs {
-					if euclid(v, ov) <= r {
-						close++
-					}
-				}
-				frac := float64(close) / float64(len(ovs))
-				if frac > worstClose {
-					worstClose = frac
-				}
-				if frac >= quota {
-					prune = true
-				}
+			frac := float64(n) / float64(len(ovs))
+			if frac > worstClose {
+				worstClose = frac
 			}
-			if prune {
-				st.Pruned++
-				if cand.Kind == ip.Motif {
-					rejectedMotifs = append(rejectedMotifs, rejected{idx: i, maxClose: worstClose})
-				}
-				continue
-			}
-			if cand.Kind == ip.Motif {
-				keptMotifs++
-			}
-			kept = append(kept, cand)
-		}
-		if keptMotifs < minKeep && len(rejectedMotifs) > 0 {
-			sort.Slice(rejectedMotifs, func(a, b int) bool {
-				return rejectedMotifs[a].maxClose < rejectedMotifs[b].maxClose
-			})
-			for _, r := range rejectedMotifs {
-				if keptMotifs >= minKeep {
-					break
-				}
-				kept = append(kept, cands[r.idx])
-				keptMotifs++
-				st.Pruned--
+			if frac >= quota {
+				near = true
 			}
 		}
-		out.ByClass[class] = kept
-	}
-	return out, st, nil
-}
-
-func euclid(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
+		return near, -worstClose
+	}, sp)
 }

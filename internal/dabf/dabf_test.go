@@ -126,46 +126,13 @@ func TestCloseToMostSemantics(t *testing.T) {
 	cf0 := d.PerClass[0]
 	// A class-0 candidate is close to most of class 0.
 	member := pool.ByClass[0][0].Values
-	if !cf0.CloseToMost(member, d.Cfg.Dim, d.Cfg.Sigma) {
+	if math.Abs(cf0.zScore(member, d.Cfg.Dim)) > d.Cfg.Sigma {
 		t.Fatal("class member not close to most of its own class")
 	}
 	// A class-1 candidate (very different scale/shape) is definitely not.
 	outsider := pool.ByClass[1][0].Values
-	if cf0.CloseToMost(outsider, d.Cfg.Dim, d.Cfg.Sigma) {
+	if math.Abs(cf0.zScore(outsider, d.Cfg.Dim)) <= d.Cfg.Sigma {
 		t.Fatal("outsider reported close to most of class 0")
-	}
-}
-
-func TestBucketIndex(t *testing.T) {
-	pool := twoClassPool(50, 7)
-	d, err := BuildSpan(context.Background(), pool, Config{Seed: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf := d.PerClass[0]
-	// Known candidates map inside the bucket range.
-	for _, cand := range pool.ByClass[0] {
-		idx := cf.BucketIndex(cand.Values, d.Cfg.Dim)
-		if idx < 0 || idx >= len(cf.Buckets) {
-			t.Fatalf("bucket index %d out of range [0,%d)", idx, len(cf.Buckets))
-		}
-	}
-	// An unseen far-away candidate maps to a valid (edge) bucket.
-	far := make(ts.Series, 24)
-	for i := range far {
-		far[i] = 1e4
-	}
-	idx := cf.BucketIndex(far, d.Cfg.Dim)
-	if idx < 0 || idx >= len(cf.Buckets) {
-		t.Fatalf("unseen candidate bucket index %d out of range", idx)
-	}
-	// Two near-identical candidates land in nearby (usually equal) buckets.
-	a := pool.ByClass[0][0].Values
-	b := a.Clone()
-	b[0] += 1e-9
-	ia, ib := cf.BucketIndex(a, d.Cfg.Dim), cf.BucketIndex(b, d.Cfg.Dim)
-	if diff := ia - ib; diff < -1 || diff > 1 {
-		t.Fatalf("near-identical candidates map to distant buckets %d vs %d", ia, ib)
 	}
 }
 
@@ -202,21 +169,7 @@ func TestPruneRemovesCrossClassCandidates(t *testing.T) {
 func TestPruneKeepsFallbackMotif(t *testing.T) {
 	// Two identical classes: everything is close to everything, so pruning
 	// would remove all candidates — the fallback must keep one motif each.
-	rng := rand.New(rand.NewSource(11))
-	pool := &ip.Pool{ByClass: map[int][]ip.Candidate{}}
-	base := make([]float64, 16)
-	for i := range base {
-		base[i] = rng.NormFloat64()
-	}
-	for c := 0; c < 2; c++ {
-		for i := 0; i < 20; i++ {
-			vals := make(ts.Series, 16)
-			for j := range vals {
-				vals[j] = base[j] + 0.01*rng.NormFloat64()
-			}
-			pool.ByClass[c] = append(pool.ByClass[c], ip.Candidate{Class: c, Kind: ip.Motif, Values: vals})
-		}
-	}
+	pool := identicalClassesPool(20, 11)
 	d, err := BuildSpan(context.Background(), pool, Config{Seed: 12}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +195,7 @@ func TestNaivePruneAgreesDirectionally(t *testing.T) {
 	pool := twoClassPool(30, 13)
 	impostor := pool.ByClass[1][0].Values.Clone()
 	pool.ByClass[0] = append(pool.ByClass[0], ip.Candidate{Class: 0, Kind: ip.Motif, Values: impostor})
-	pruned, st, err := NaivePrune(context.Background(), pool, 24, 3)
+	pruned, st, err := NaivePrune(context.Background(), pool, Config{Dim: 24, Sigma: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +208,7 @@ func TestNaivePruneAgreesDirectionally(t *testing.T) {
 		}
 	}
 	// Defaults path.
-	if _, _, err := NaivePrune(context.Background(), pool, 0, 0); err != nil {
+	if _, _, err := NaivePrune(context.Background(), pool, Config{}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -275,7 +228,7 @@ func TestDABFFasterThanNaive(t *testing.T) {
 	}
 	dabfNs := nowNs() - t0
 	t0 = nowNs()
-	if _, _, err := NaivePrune(context.Background(), pool, 32, 3); err != nil {
+	if _, _, err := NaivePrune(context.Background(), pool, Config{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	naiveNs := nowNs() - t0

@@ -2,6 +2,7 @@ package dabf
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,8 +10,8 @@ import (
 	"ips/internal/ts"
 )
 
-// Property: CloseToMost is monotone in θ — a candidate close at a tighter
-// threshold stays close at any looser one.
+// Property: the Alg. 3 query |z| ≤ θ is monotone in θ — a candidate close at
+// a tighter threshold stays close at any looser one.
 func TestCloseToMostMonotoneInTheta(t *testing.T) {
 	pool := twoClassPool(40, 100)
 	d, err := BuildSpan(context.Background(), pool, Config{Seed: 101}, nil)
@@ -26,7 +27,7 @@ func TestCloseToMostMonotoneInTheta(t *testing.T) {
 		}
 		prev := false
 		for _, theta := range []float64{0.5, 1, 2, 3, 5, 10} {
-			now := cf.CloseToMost(vals, d.Cfg.Dim, theta)
+			now := math.Abs(cf.zScore(vals, d.Cfg.Dim)) <= theta
 			if prev && !now {
 				return false // was close at a tighter θ, not at a looser one
 			}
