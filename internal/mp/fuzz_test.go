@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"ips/internal/ts"
 )
 
 // fuzzSeries decodes 8-byte chunks of data as float64s.  NaN and ±Inf bit
@@ -50,39 +52,49 @@ func checkProfileFinite(t *testing.T, p *Profile, nNeighbours int) {
 }
 
 // FuzzSelfJoin feeds arbitrary finite series — zero-variance segments,
-// overflow-scale magnitudes, sub-window lengths — through the tiled kernel
-// at several worker counts, asserting the no-NaN contract and worker-count
-// byte-identity on every input.
+// overflow-scale magnitudes, sub-window lengths — with an optional boundary
+// mask (instances of 1 + (cut−1) mod len(series) points; cut 0 means none)
+// through the tiled kernel at several worker counts, asserting the no-NaN
+// contract and bit-equality with the one-diagonal oracle on every input.
 func FuzzSelfJoin(f *testing.F) {
-	f.Add([]byte{}, uint8(4))
-	f.Add(make([]byte, 8*6), uint8(3))                             // all-zero (constant) series
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 2, 3}, uint8(2)) // +Inf bit pattern remapped
+	f.Add([]byte{}, uint8(4), uint16(0))
+	f.Add(make([]byte, 8*6), uint8(3), uint16(0))                             // all-zero (constant) series
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 2, 3}, uint8(2), uint16(0)) // +Inf bit pattern remapped
 	seed := make([]byte, 8*40)
 	for i := range seed {
 		seed[i] = byte(i * 37)
 	}
-	f.Add(seed, uint8(8))
-	f.Fuzz(func(t *testing.T, data []byte, wRaw uint8) {
+	f.Add(seed, uint8(8), uint16(0))
+	f.Add(seed, uint8(3), uint16(14)) // masked: instances of 14 points
+	f.Fuzz(func(t *testing.T, data []byte, wRaw uint8, cut uint16) {
 		if len(data) > 8*512 {
 			return // keep the O(N²) join inside fuzz-time budget
 		}
 		series := fuzzSeries(data)
 		w := 2 + int(wRaw)%64
-		ref := selfJoin(t, series, w, nil, 1)
 		n := len(series) - w + 1
+		var valid []bool
+		if cut > 0 && n > 0 {
+			var starts []int
+			for s := 0; s < len(series); s += 1 + (int(cut)-1)%len(series) {
+				starts = append(starts, s)
+			}
+			valid = ts.BoundaryMask(starts, len(series), w)
+		}
+		want := oracleSelfJoin(series, w, valid)
 		if n <= 0 {
-			if ref.Len() != 0 {
-				t.Fatalf("sub-window input produced %d entries", ref.Len())
+			if got := selfJoin(t, series, w, valid, 1); got.Len() != 0 {
+				t.Fatalf("sub-window input produced %d entries", got.Len())
 			}
 			return
 		}
-		checkProfileFinite(t, ref, n)
-		for _, workers := range []int{2, 5} {
-			got := selfJoin(t, series, w, nil, workers)
+		checkProfileFinite(t, want, n)
+		for _, workers := range []int{1, 2, 5} {
+			got := selfJoin(t, series, w, valid, workers)
 			for i := range got.P {
-				if math.Float64bits(got.P[i]) != math.Float64bits(ref.P[i]) || got.I[i] != ref.I[i] {
+				if math.Float64bits(got.P[i]) != math.Float64bits(want.P[i]) || got.I[i] != want.I[i] {
 					t.Fatalf("workers=%d: (P[%d],I[%d]) = (%v,%d), want (%v,%d)",
-						workers, i, i, got.P[i], got.I[i], ref.P[i], ref.I[i])
+						workers, i, i, got.P[i], got.I[i], want.P[i], want.I[i])
 				}
 			}
 		}
