@@ -12,8 +12,9 @@ package mp
 // the merge order (not the tile schedule) defines the result, so the profile
 // stays byte-identical for any tile size and worker count.
 const (
-	// cellsPerTile is the walk one tile should cost: about 200µs at the
-	// 12ns/cell the STOMP walk measures on a 2-CPU x86-64 host.  Large
+	// cellsPerTile is the walk one tile should cost: about 65µs at the
+	// 4ns/cell the four-lane STOMP walk measures on a 2-CPU x86-64 host
+	// (BenchmarkSelfJoin N=16384, w=64, one worker, best of three).  Large
 	// enough that handing a tile over a channel is noise, small enough that
 	// the scheduler can rebalance a slow worker several times per join.
 	cellsPerTile = 1 << 14
