@@ -140,7 +140,7 @@ func (l *loader) moduleImportsOf(dir, selfPath string) (nonTest, testOnly []stri
 	seenTest := map[string]bool{}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
+		if e.IsDir() || !buildFile(dir, name) {
 			continue
 		}
 		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, name), nil, parser.ImportsOnly)
@@ -275,7 +275,7 @@ func (l *loader) parseDir(dir string) (map[string][]*ast.File, error) {
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		if !e.IsDir() && buildFile(dir, e.Name()) {
 			names = append(names, e.Name())
 		}
 	}
@@ -449,9 +449,22 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+		if !e.IsDir() && buildFile(dir, e.Name()) && !strings.HasSuffix(e.Name(), "_test.go") {
 			return true
 		}
 	}
 	return false
+}
+
+// buildFile reports whether name is a Go file of dir's package as the
+// compiler builds it for this GOOS/GOARCH.  A file excluded by a _GOARCH
+// suffix or a //go:build line declares another platform's variant of the
+// same names, so type-checking it beside this platform's would fail.  A
+// file whose header cannot be read is kept, so its parse reports the error.
+func buildFile(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok || err != nil
 }

@@ -112,6 +112,11 @@ func loadSeries(dataset string, instance int, seed int64, path string) (ips.Seri
 	return out, sc.Err()
 }
 
+// spark renders s as one block rune per value, from ▁ at its minimum to █ at
+// its maximum.  The values are halved before they are subtracted, so a window
+// that spans more than the float64 range (1.7e308 beside −1.7e308) cannot
+// overflow hi − lo to +Inf; halving is exact, so it moves no level.  The level
+// index is clamped to the rune table all the same.
 func spark(s ips.Series) string {
 	levels := []rune("▁▂▃▄▅▆▇█")
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -122,9 +127,12 @@ func spark(s ips.Series) string {
 	if hi <= lo {
 		return strings.Repeat(string(levels[0]), len(s))
 	}
+	top := len(levels) - 1
+	span := hi/2 - lo/2
 	var sb strings.Builder
 	for _, v := range s {
-		sb.WriteRune(levels[int((v-lo)/(hi-lo)*float64(len(levels)-1))])
+		k := int((v/2 - lo/2) / span * float64(top))
+		sb.WriteRune(levels[min(max(k, 0), top)])
 	}
 	return sb.String()
 }

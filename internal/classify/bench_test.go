@@ -14,7 +14,10 @@ import (
 // naive per-pair ts.Dist loop it replaced.  Single worker throughout: the
 // engine/naive ratio is the algorithmic speedup (register-blocked sliding
 // dot products with one exact refinement, fft crossover), uninflated by
-// parallelism.
+// parallelism.  The last cell is the predict shape of perfbench's `fit`
+// workload: 200 synthetic UWaveGestureLibraryY series (315 points) by 40
+// shapelets, eight at each of the five candidate lengths IPS draws there
+// (0.1–0.5 of the series length).
 func BenchmarkTransform(b *testing.B) {
 	datasets := []struct {
 		name    string
@@ -22,7 +25,7 @@ func BenchmarkTransform(b *testing.B) {
 	}{
 		{"GunPoint", []int{16, 64, 100}}, // 150-point series: rolling kernel
 		{"Mallat", []int{64, 512}},       // 1024-point series: long-query rolling stress
-		{"HandOutlines", []int{1024}},    // 2709-point series: auto crosses to fft
+		{"HandOutlines", []int{1024}},    // 2709-point series: auto crosses to fft against the Go pass
 	}
 	for _, ds := range datasets {
 		for _, instances := range []int{10, 40} {
@@ -37,31 +40,48 @@ func BenchmarkTransform(b *testing.B) {
 					at := (i * 17) % (len(in.Values) - L + 1)
 					sh[i] = Shapelet{Class: in.Label, Values: in.Values[at : at+L].Clone()}
 				}
-				label := fmt.Sprintf("%s/inst=%d/L=%d", ds.name, len(train.Instances), L)
-				b.Run("engine/"+label, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := TransformWith(context.Background(), train, sh, TransformConfig{}); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				b.Run("naive/"+label, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						out := make([][]float64, len(train.Instances))
-						for j, in := range train.Instances {
-							row := make([]float64, len(sh))
-							for si, s := range sh {
-								row[si] = ts.Dist(s.Values, in.Values)
-							}
-							out[j] = row
-						}
-					}
-				})
+				benchTransform(b, fmt.Sprintf("%s/inst=%d/L=%d", ds.name, len(train.Instances), L), train, sh)
 			}
 		}
 	}
+	train, _, err := ucr.GenerateByName("UWaveGestureLibraryY", ucr.GenConfig{Seed: 1, MaxTrain: 200, MaxTest: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lengths := []int{31, 63, 94, 126, 157}
+	sh := make([]Shapelet, 40)
+	for i := range sh {
+		in := train.Instances[(i*23)%len(train.Instances)]
+		L := lengths[i%len(lengths)]
+		at := (i * 17) % (len(in.Values) - L + 1)
+		sh[i] = Shapelet{Class: in.Label, Values: in.Values[at : at+L].Clone()}
+	}
+	benchTransform(b, fmt.Sprintf("UWaveGestureLibraryY/inst=%d/fit", len(train.Instances)), train, sh)
+}
+
+// benchTransform runs the engine and the naive loop on one cell.
+func benchTransform(b *testing.B, label string, train *ts.Dataset, sh []Shapelet) {
+	b.Run("engine/"+label, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := TransformWith(context.Background(), train, sh, TransformConfig{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("naive/"+label, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out := make([][]float64, len(train.Instances))
+			for j, in := range train.Instances {
+				row := make([]float64, len(sh))
+				for si, s := range sh {
+					row[si] = ts.Dist(s.Values, in.Values)
+				}
+				out[j] = row
+			}
+		}
+	})
 }
 
 // BenchmarkTrainSVM trains the one-vs-rest SVM on features shaped like

@@ -81,7 +81,7 @@ func (b *Batch) SetKernel(k Kernel) {
 // coincides.
 //
 // The working set comes from a caller-owned Scratch (nil means a fresh one
-// per call): the sliding-dots buffer and the fft complex buffer grow once
+// per call): the profile buffer and the fft complex buffer grow once
 // inside s and are reused verbatim on the next call.  Callers that
 // re-evaluate the same batch against a stream of series — the serve loop,
 // CV folds — perform zero allocations after warm-up.  s must not be shared
@@ -139,8 +139,8 @@ func (b *Batch) EvalScratchCtx(ctx context.Context, p *Prepared, out []float64, 
 }
 
 // eval evaluates query qi: ts.Dist for a non-finite query, otherwise its
-// sliding dots (through the padded transform f when one is given, directly
-// otherwise) refined exactly by profileMin.
+// approximate profile (through the padded transform f when one is given,
+// from direct sliding dots otherwise) refined exactly by profileMin.
 //
 //ips:hotpath
 func (b *Batch) eval(p *Prepared, qi int, f *fft.FT, s *Scratch, c *Counts) float64 {
@@ -153,9 +153,10 @@ func (b *Batch) eval(p *Prepared, qi int, f *fft.FT, s *Scratch, c *Counts) floa
 	if cap(s.dots) < w {
 		s.dots = make([]float64, w)
 	}
-	dots := s.dots[:w]
-	s.cbuf = p.slidingDots(q, dots, f, s.cbuf, c)
-	return p.profileMin(q, b.qq[qi], dots, c)
+	prof := s.dots[:w]
+	var minHat float64
+	minHat, s.cbuf = p.approxProfile(q, b.qq[qi], prof, f, s.cbuf, c)
+	return p.profileMin(q, b.qq[qi], prof, minHat, c)
 }
 
 // logCanceled and logExactFallback exist to keep their variadic ...any

@@ -7,16 +7,22 @@
 // per query length.  The kernels differ only in how they compute the
 // sliding dot products Σ_l q[l]·t[j+l] of a query against every window:
 //
-//   - rolling: directly, in register blocks of several consecutive windows
-//     with one independent accumulator each — exactly (n−m+1)·m
-//     multiply-adds on any data;
+//   - rolling: directly, in blocks of consecutive windows with one
+//     independent accumulator each — exactly (n−m+1)·m multiply-adds on any
+//     data.  On amd64 with AVX a row of at least 16 windows runs the AVX
+//     pass (rolling_amd64.s): 16 windows per block in four YMM accumulators,
+//     writing the approximate profile below in the same pass.  Shorter
+//     rows, CPUs without AVX and every other GOARCH run the Go pass
+//     (directDots, four windows per block, then profileFromDots).  Each AVX
+//     lane performs the Go pass's multiplies and adds in its order, so the
+//     two passes are bit-equal on the default GOAMD64=v1;
 //   - fft: through a cached padded FFT of the series (internal/fft.FT) in
 //     O(n log n) per query.
 //
-// Both then go through one exact step (Prepared.profileMin): the
-// approximate un-normalised profile Σw² − 2·q·w + Σq² (the MASS
-// formulation, applied to the non-normalised Euclidean profile), followed by
-// an exact re-summation, with ts.Dist's left-to-right summation, of every
+// Both then go through one exact step: the approximate un-normalised profile
+// Σw² − 2·q·w + Σq² (the MASS formulation, applied to the non-normalised
+// Euclidean profile), followed by an exact re-summation in Go
+// (Prepared.profileMin), with ts.Dist's left-to-right summation, of every
 // window within floating-point error of the profile minimum.  The
 // conservative error bound guarantees the true minimiser is among the
 // re-summed windows, so both kernels return values byte-identical to ts.Dist
@@ -65,32 +71,47 @@ func (k Kernel) String() string {
 }
 
 // fftMinQueryLen is the shortest query the fft kernel is considered for.  In
-// BenchmarkKernels the fft kernel is 4–14× slower than the rolling kernel at
-// every m ≤ 64, and the cost model alone keeps every such shape rolling
-// except the degenerate one-point transform (n = m = 1, where N·log₂N is 0);
-// the floor keeps that one off the fft kernel too.
+// BenchmarkKernels the fft kernel is 4–14× slower than the rolling kernel's
+// Go pass at every m ≤ 64 (17–57× slower than its AVX pass), and the cost
+// model alone keeps every such shape rolling except the degenerate one-point
+// transform (n = m = 1, where N·log₂N is 0); the floor keeps that one off the
+// fft kernel too.
 const fftMinQueryLen = 64
 
-// fftCostFactor scales the fft kernel's N·log₂N cost model against the
-// rolling kernel's (n−m+1)·m when choosing a kernel.  The rolling kernel does
-// exactly (n−m+1)·m multiply-adds on any data, so both sides of the model
-// depend on the shape alone.  Fitted with BenchmarkKernels (walk and znorm
-// grids): in every cell with m ≥ 64 and more than one window, the fft
-// kernel's time per N·log₂N is 13–21 times the rolling kernel's time per
-// multiply-add (median 16), and any factor from 13.4 to 23.9 sends every cell
-// to its faster kernel.  fft wins 1.5–2.2× at (n=2709, m ≥ 541) and
-// (n=4096, m=1024); rolling wins 1.4–1.7× at (n=2709, m=270), (n=1024,
-// m=512), (n=1024, m=256) and (n=4096, m=256).
+// fftCostFactor and fftCostFactorAVX scale the fft kernel's N·log₂N cost
+// model against the rolling kernel's (n−m+1)·m when choosing a kernel, one
+// factor per rolling pass: the Go pass, and the AVX pass where it runs (see
+// approxProfile).  The rolling kernel does exactly (n−m+1)·m multiply-adds
+// on any data, so both sides of the model depend on the shape alone.  Each
+// factor is the fft kernel's time per N·log₂N over the pass's time per
+// multiply-add, fitted with BenchmarkKernels (walk and znorm grids, cells
+// with m ≥ 64 and more than one window):
+//
+//   - Go pass: the ratio is 13–21 (median 16), and any factor from 13.4 to
+//     23.9 sends every cell to its faster kernel.  fft wins 1.5–2.2× at
+//     (n=2709, m ≥ 541) and (n=4096, m=1024); rolling wins 1.4–1.7× at
+//     (n=2709, m=270), (n=1024, m=512), (n=1024, m=256) and (n=4096, m=256).
+//   - AVX pass: the ratio is 46–75 (median 57), and rolling wins every cell
+//     of both grids, by 1.7× at (n=2709, m=1354) and 1.9× at (n=4096,
+//     m=1024), the closest two; any factor of at least 37.4 keeps them all
+//     rolling.  Past the grids fft catches up: at (n=8192, m=2048) and
+//     (n=8192, m=4096), where (n−m+1)·m / N·log₂N reads 55 and 73, the two
+//     kernels are within 1.15× of each other and trade places between runs,
+//     and at (n=16384, m=8192), where it reads 137, fft wins 2.0×.  The
+//     factor is the grids' median ratio.
 //
 // No pruned path is kept beside the rolling kernel: a norm-lower-bound-pruned
-// early-abandoning scan beats it only where it skips most of the work — the
-// walk grid's random-walk queries at m ≤ 64 (1.2–1.9×) and at (n=4096,
-// m=256) (1.1×), and single-window shapes (m = n, 1.4–1.5×), where the
-// rolling kernel sums the one window twice.  On the znorm grid the two are
-// level at m ≈ 0.05·n (0.96–1.11), and at every m ≥ 0.1·n, the shapes of
-// every length ratio the pipeline and the baselines use, the rolling kernel
-// takes 0.38–1.03 of the pruned scan's time.
-const fftCostFactor = 14.0
+// early-abandoning scan beats its Go pass only where it skips most of the
+// work — the walk grid's random-walk queries at m ≤ 64 (1.2–1.9×) and at
+// (n=4096, m=256) (1.1×), and single-window shapes (m = n, 1.4–1.5×), where
+// the rolling kernel sums the one window twice.  On the znorm grid the two
+// are level at m ≈ 0.05·n (0.96–1.11), and at every m ≥ 0.1·n, the shapes of
+// every length ratio the pipeline and the baselines use, the Go pass takes
+// 0.38–1.03 of the pruned scan's time.
+const (
+	fftCostFactor    = 14.0
+	fftCostFactorAVX = 57.0
+)
 
 // distEps scales the conservative floating-point error bound of the exact
 // refinement both kernels share (see profileMin).  The true accumulated error
@@ -112,15 +133,20 @@ func KernelFor(m, n int) Kernel {
 
 // chooseKernel is the crossover heuristic for non-degenerate shapes: use the
 // fft kernel when the rolling kernel's (n−m+1)·m work exceeds the cost model
-// of two padded transforms, fftCostFactor·N·log₂N with N = nextpow2(n+m−1).
+// of two padded transforms, factor·N·log₂N with N = nextpow2(n+m−1) and the
+// factor of the rolling pass that would run.
 func chooseKernel(m, n int) Kernel {
 	if m < fftMinQueryLen {
 		return KernelRolling
 	}
 	w := n - m + 1
+	factor := fftCostFactor
+	if avx && w >= avxBlock {
+		factor = fftCostFactorAVX
+	}
 	size := fft.NextPow2(n + m - 1)
 	rolling := float64(w) * float64(m)
-	fftCost := fftCostFactor * float64(size) * float64(bits.Len(uint(size))-1)
+	fftCost := factor * float64(size) * float64(bits.Len(uint(size))-1)
 	if rolling > fftCost {
 		return KernelFFT
 	}
@@ -236,35 +262,49 @@ func (p *Prepared) DistCounted(q []float64, c *Counts) float64 {
 	if !p.noFFT && chooseKernel(m, n) == KernelFFT {
 		f = p.ft(fft.NextPow2(n+m-1), c)
 	}
-	dots := make([]float64, n-m+1)
-	p.slidingDots(q, dots, f, nil, c)
-	return p.profileMin(q, qq, dots, c)
+	prof := make([]float64, n-m+1)
+	minHat, _ := p.approxProfile(q, qq, prof, f, nil, c)
+	return p.profileMin(q, qq, prof, minHat, c)
 }
 
-// slidingDots writes Σ_l q[l]·t[j+l] for every window j of the series into
-// dots (one value per window): through the padded series transform f when
-// one is given, directly otherwise.  It counts the kernel that produced them
-// and returns the (possibly grown) complex scratch buffer of the fft kernel.
+// approxProfile writes the approximate un-normalised profile ŝ_j = Σw² −
+// 2·q·w + Σq² of q against every window j of the series into prof (one value
+// per window) and returns its minimum.  The fft kernel (a padded series
+// transform f is given) computes the sliding dots through f; the rolling
+// kernel computes them directly, in the AVX pass on a CPU that has it and at
+// least avxBlock windows, in the Go pass (directDots) otherwise.  Either way
+// profileFromDots' arithmetic turns the dots into ŝ.  It counts the kernel
+// that produced the profile and returns the (possibly grown) complex scratch
+// buffer of the fft kernel.
 //
 //ips:hotpath
-func (p *Prepared) slidingDots(q, dots []float64, f *fft.FT, cbuf []complex128, c *Counts) []complex128 {
+func (p *Prepared) approxProfile(q []float64, qq float64, prof []float64, f *fft.FT, cbuf []complex128, c *Counts) (float64, []complex128) {
 	if f != nil {
 		var err error
-		if cbuf, err = f.SlidingDotsInto(q, dots, cbuf); err == nil {
+		if cbuf, err = f.SlidingDotsInto(q, prof, cbuf); err == nil {
 			c.FFT++
-			return cbuf
+			return p.profileFromDots(len(q), qq, prof), cbuf
 		}
 	}
-	directDots(q, p.t, dots)
 	c.Rolling++
-	return cbuf
+	if avx && len(prof) >= avxBlock {
+		return p.profileAVX(q, qq, prof), cbuf
+	}
+	directDots(q, p.t, prof)
+	return p.profileFromDots(len(q), qq, prof), cbuf
 }
 
-// directDots is the rolling kernel: dots[j] = Σ_l q[l]·t[j+l] for every
-// window j < len(dots), in blocks of four consecutive windows.  A block keeps
-// four independent accumulators, so its multiply-adds overlap instead of
-// waiting on one dependent add chain, and each q[l] is loaded once per block.
-// Eight accumulators do not fit: the amd64 register allocator spills two of
+// avxBlock is the number of consecutive windows one block of the AVX pass
+// covers: four YMM accumulators of four windows each.  Rows with fewer
+// windows keep the Go pass.
+const avxBlock = 16
+
+// directDots is the rolling kernel's Go pass: dots[j] = Σ_l q[l]·t[j+l] for
+// every window j < len(dots), in blocks of four consecutive windows.  It runs
+// where the AVX pass does not (see approxProfile).  A block keeps four
+// independent accumulators, so its multiply-adds overlap instead of waiting
+// on one dependent add chain, and each q[l] is loaded once per block.  Eight
+// scalar accumulators do not fit: the amd64 register allocator spills two of
 // them to the stack, and that block ran about 15% slower per multiply-add
 // than this one (six measured level with four).
 //
@@ -305,19 +345,14 @@ func directDots(q, t, dots []float64) {
 	}
 }
 
-// profileMin is the exact step both kernels share.  dots holds the sliding
-// dot products of q against every window; it is overwritten in place with the
-// approximate un-normalised profile ŝ_j = Σt² − 2·dot + Σq², and every window
-// whose ŝ_j is within twice errBound of the approximate minimum is re-summed
-// with ts.Dist's left-to-right summation.  Every ŝ_j is within errBound of
-// window j's left-to-right sum s_j, so the window j* with the smallest s_j
-// has ŝ_j* ≤ s_j* + errBound ≤ s_k + errBound ≤ ŝ_k + 2·errBound for the
-// approximate minimiser k: it is among the re-summed windows, and the
-// returned minimum is byte-identical to ts.Dist.  It must not allocate.
+// profileFromDots overwrites the sliding dots of a length-m query with energy
+// qq, in place, with the approximate profile ŝ_j = Σw² − 2·dot + Σq² (each
+// term clamped at 0 as WindowSqSum and a squared distance are), and returns
+// its minimum.  It is the profile step of the fft kernel and of the rolling
+// kernel's Go pass; the AVX pass performs the same operations in assembly.
 //
 //ips:hotpath
-func (p *Prepared) profileMin(q []float64, qq float64, dots []float64, c *Counts) float64 {
-	m := len(q)
+func (p *Prepared) profileFromDots(m int, qq float64, dots []float64) float64 {
 	minHat := math.Inf(1)
 	for j, d := range dots {
 		sHat := p.WindowSqSum(j, m) - 2*d + qq
@@ -329,10 +364,26 @@ func (p *Prepared) profileMin(q []float64, qq float64, dots []float64, c *Counts
 			minHat = sHat
 		}
 	}
+	return minHat
+}
+
+// profileMin is the exact step both kernels share.  prof holds the
+// approximate profile ŝ_j of q against every window and minHat its minimum
+// (see approxProfile); every window whose ŝ_j is within twice errBound of
+// minHat is re-summed with ts.Dist's left-to-right summation.  Every ŝ_j is
+// within errBound of window j's left-to-right sum s_j, so the window j* with
+// the smallest s_j has ŝ_j* ≤ s_j* + errBound ≤ s_k + errBound ≤ ŝ_k +
+// 2·errBound for the approximate minimiser k: it is among the re-summed
+// windows, and the returned minimum is byte-identical to ts.Dist.  It must
+// not allocate.
+//
+//ips:hotpath
+func (p *Prepared) profileMin(q []float64, qq float64, prof []float64, minHat float64, c *Counts) float64 {
+	m := len(q)
 	fm := float64(m)
 	thr := minHat + 2*p.errBound(qq)
 	best := math.Inf(1)
-	for j, sHat := range dots {
+	for j, sHat := range prof {
 		if sHat > thr {
 			continue
 		}

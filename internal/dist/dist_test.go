@@ -60,7 +60,8 @@ func bitsEqual(a, b float64) bool {
 // data sweep and requires byte-identical agreement with ts.Dist.  The shapes
 // make the window count w = n−m+1 take every value from 1 to 9 and eight
 // consecutive larger values, so every residue modulo the rolling kernel's
-// block width occurs; the longest shape crosses to the fft kernel.
+// block width occurs; the longest shape crosses to the fft kernel against
+// the Go pass.
 func TestDistMatchesTsDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := [][2]int{
@@ -213,13 +214,22 @@ func TestWindowSums(t *testing.T) {
 }
 
 // TestKernelFor pins the crossover shape: short queries roll, long queries
-// against long series cross to fft, degenerate shapes are exact.
+// against long series cross to fft, degenerate shapes are exact.  Where the
+// crossover lies depends on the rolling pass: (n=4096, m=512) is fft's
+// against the Go pass and rolling's on the AVX pass.
 func TestKernelFor(t *testing.T) {
 	if k := KernelFor(8, 4096); k != KernelRolling {
 		t.Fatalf("KernelFor(8, 4096) = %v, want rolling", k)
 	}
-	if k := KernelFor(512, 4096); k != KernelFFT {
-		t.Fatalf("KernelFor(512, 4096) = %v, want fft", k)
+	if k := KernelFor(8192, 16384); k != KernelFFT {
+		t.Fatalf("KernelFor(8192, 16384) = %v, want fft", k)
+	}
+	want := KernelFFT
+	if avx {
+		want = KernelRolling
+	}
+	if k := KernelFor(512, 4096); k != want {
+		t.Fatalf("KernelFor(512, 4096) = %v, want %v (avx %v)", k, want, avx)
 	}
 	if k := KernelFor(0, 100); k != KernelExact {
 		t.Fatalf("KernelFor(0, 100) = %v, want exact", k)
@@ -234,8 +244,8 @@ func TestKernelFor(t *testing.T) {
 func TestCountsFlush(t *testing.T) {
 	o := obs.New("test")
 	rng := rand.New(rand.NewSource(9))
-	series := randSeries(rng, 3000, 0)
-	queries := [][]float64{randSeries(rng, 8, 1), randSeries(rng, 1024, 1)}
+	series := randSeries(rng, 16384, 0)
+	queries := [][]float64{randSeries(rng, 8, 1), randSeries(rng, 8192, 1)}
 	b := NewBatch(queries)
 	p := Prepare(series)
 	var c Counts

@@ -45,6 +45,16 @@ func FuzzDist(f *testing.F) {
 	}
 	constant[0] = 4
 	f.Add(constant)
+	// Rows of at least 16 windows reach the AVX pass on a CPU that has it:
+	// 64 values split at 12 (41 windows) and 40 split at 24 (17 windows).
+	for _, sh := range [][2]int{{64, 12}, {40, 24}} {
+		row := make([]byte, 1+8*sh[0])
+		row[0] = byte(sh[1])
+		for i := 0; i < sh[0]; i++ {
+			binary.LittleEndian.PutUint64(row[1+i*8:], math.Float64bits(math.Sin(float64(i)*0.7)*float64(1+i%5)))
+		}
+		f.Add(row)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 || len(data) > 1+8*256 {
 			return // keep execs cheap: 256 points already spans both kernels

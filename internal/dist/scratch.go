@@ -1,13 +1,14 @@
 package dist
 
 // Scratch is one worker's grow-once arena for repeated Batch evaluations:
-// the sliding-dots buffer both kernels write and profileMin turns into the
-// profile in place, the fft complex buffer, and a reusable Prepared for
-// request-scoped series that are seen once and never again — the ipsd serve
-// loop, CV folds, ensemble members.  Buffers grow to the high-water mark of
-// the shapes they have seen and are then reused verbatim, so a warmed
-// scratch makes the whole re-evaluation path allocation-free (asserted by
-// TestBatchEvalAllocs and the serve steady-state alloc test).
+// the profile buffer both kernels write (the fft kernel and the rolling
+// kernel's Go pass write the sliding dots there first) and profileMin reads,
+// the fft complex buffer, and a reusable Prepared for request-scoped series
+// that are seen once and never again — the ipsd serve loop, CV folds,
+// ensemble members.  Buffers grow to the high-water mark of the shapes they
+// have seen and are then reused verbatim, so a warmed scratch makes the
+// whole re-evaluation path allocation-free (asserted by TestBatchEvalAllocs
+// and the serve steady-state alloc test).
 //
 // A Scratch is owned by exactly one goroutine at a time; give each worker
 // its own.  The Prepared returned by Prepare aliases the scratch and is
