@@ -51,8 +51,8 @@ func levelSeries(rng *rand.Rand, n, levels int) []float64 {
 // (m = n − 15) and under m = 1, from n = 16 to 600; one more row is long
 // enough to be cut into chunks, its last chunk shorter than a block.  The
 // data: random walks, noise offset by ±1e6, integer levels with exact ties, a
-// zero query, and 1e153-scale values whose Σt² + Σq² overflows.  The output
-// is pre-filled with NaN, so a window the pass never writes fails.
+// zero query, and 1e150-scale values with spikes whose Σt² + Σq² overflows.
+// The output is pre-filled with NaN, so a window the pass never writes fails.
 func TestRollingProfileMatchesGo(t *testing.T) {
 	if !avx {
 		t.Log("no AVX on this CPU or GOARCH: the rolling kernel runs the Go pass only")
@@ -74,7 +74,9 @@ func TestRollingProfileMatchesGo(t *testing.T) {
 	// tail that must overlap the chunk before it.
 	shapes = append(shapes, shape{5*864 + 7 + 299, 300})
 
-	check := func(name string, series, q []float64) {
+	// check compares the passes on one pair and returns how many windows'
+	// ŝ is +Inf.
+	check := func(name string, series, q []float64) int {
 		t.Helper()
 		p := Prepare(series)
 		qq := sumSq(q)
@@ -98,6 +100,13 @@ func TestRollingProfileMatchesGo(t *testing.T) {
 		if gotMin != wantMin {
 			t.Fatalf("%s n=%d m=%d: min = %v, Go pass %v", name, len(series), len(q), gotMin, wantMin)
 		}
+		inf := 0
+		for _, v := range want {
+			if math.IsInf(v, 1) {
+				inf++
+			}
+		}
+		return inf
 	}
 
 	for _, sh := range shapes {
@@ -122,22 +131,26 @@ func TestRollingProfileMatchesGo(t *testing.T) {
 		check("zero query", walk, make([]float64, m))
 	}
 
-	// Σt² stays finite (the prefix sums never overflow), but window energy
-	// plus query energy, and twice a dot of a window with itself, do.
+	// 1e150-scale data with one 1.2e154 spike in the series and one in the
+	// query: Σt² stays finite (the prefix sums never overflow), but Σt² + Σq²
+	// does, and so does a window's energy plus the query's (ŝ = +Inf) or
+	// twice a dot that pairs the two spikes (−Inf, clamped to 0).
+	inf := 0
 	for _, m := range []int{1, 8, 16, 24} {
-		n := 40
-		huge := func(k int) []float64 {
-			out := make([]float64, k)
-			for i := range out {
-				out[i] = 2e153 * (0.5 + 0.5*rng.Float64())
-				if rng.Intn(2) == 0 {
-					out[i] = -out[i]
-				}
-			}
-			return out
+		series, q := randSeries(rng, 40, 1), randSeries(rng, m, 1)
+		for i := range series {
+			series[i] *= 1e150
 		}
-		series := huge(n)
-		check("overflow", series, huge(m))
-		check("overflow/self", series, append([]float64(nil), series[3:3+m]...))
+		for i := range q {
+			q[i] *= 1e150
+		}
+		series[20] = 1.2e154
+		for _, sign := range []float64{1, -1} {
+			q[m/2] = sign * 1.2e154
+			inf += check("overflow", series, q)
+		}
+	}
+	if inf == 0 {
+		t.Fatal("the overflow inputs produced no +Inf profile value")
 	}
 }
