@@ -9,7 +9,7 @@ import (
 
 // prepareAll prepares every training instance once, indexed like
 // train.Instances, so the distance matrices of one fit share each series'
-// prefix statistics and cached padded transforms.
+// prefix statistics.
 func prepareAll(train *ts.Dataset) []*dist.Prepared {
 	out := make([]*dist.Prepared, train.Len())
 	for i, in := range train.Instances {
@@ -23,9 +23,9 @@ func prepareAll(train *ts.Dataset) []*dist.Prepared {
 // D[query][position], where position follows idx.  prepared holds the
 // prepared training instances (see prepareAll), indexed by instance, not by
 // position.  Each entry is byte-identical to ts.Dist(query, instance), but
-// the work is batched: one engine pass per instance shares the per-length
-// sliding statistics and the padded series FFT across all queries, instead
-// of re-deriving them per (candidate, instance) pair.
+// the work is batched: one engine pass per instance shares the series'
+// prefix statistics and one profile buffer across all queries, instead of
+// re-deriving them per (candidate, instance) pair.
 //
 // Cancellation flows into the engine: once ctx is done the current instance
 // pass stops at its next length-group boundary and distMatrix returns a nil

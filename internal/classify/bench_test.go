@@ -13,8 +13,7 @@ import (
 // (instances × shapelet length) grid, on the batched engine and on the
 // naive per-pair ts.Dist loop it replaced.  Single worker throughout: the
 // engine/naive ratio is the algorithmic speedup (register-blocked sliding
-// dot products with one exact refinement, fft crossover), uninflated by
-// parallelism.  The last cell is the predict shape of perfbench's `fit`
+// dot products with one exact refinement), uninflated by parallelism.  The last cell is the predict shape of perfbench's `fit`
 // workload: 200 synthetic UWaveGestureLibraryY series (315 points) by 40
 // shapelets, eight at each of the five candidate lengths IPS draws there
 // (0.1–0.5 of the series length).
@@ -25,7 +24,7 @@ func BenchmarkTransform(b *testing.B) {
 	}{
 		{"GunPoint", []int{16, 64, 100}}, // 150-point series: rolling kernel
 		{"Mallat", []int{64, 512}},       // 1024-point series: long-query rolling stress
-		{"HandOutlines", []int{1024}},    // 2709-point series: auto crosses to fft against the Go pass
+		{"HandOutlines", []int{1024}},    // 2709-point series: the longest UCR shapes
 	}
 	for _, ds := range datasets {
 		for _, instances := range []int{10, 40} {

@@ -26,16 +26,17 @@ type Shapelet struct {
 }
 
 // TransformConfig parameterises TransformWith.  The zero value is a
-// sequential, auto-kernel transform.
+// sequential transform.
 type TransformConfig struct {
 	// Workers is the per-instance embedding fan-out (<=1 means sequential).
 	// Output is identical for any value.
 	Workers int
 	// Span receives the embedding-shape and kernel-mix attributes.
 	Span *obs.Span
-	// Kernel forces the distance kernel (dist.KernelAuto selects per query
-	// length).  Kernel choice never changes results.
-	Kernel dist.Kernel
+	// Kernel is an empty placeholder: the engine has one kernel.
+	//
+	// Deprecated: nothing reads it, and it will be removed.
+	Kernel struct{}
 	// Precision is an empty placeholder: the engine has one arithmetic,
 	// byte-identical to ts.Dist.
 	//
@@ -51,7 +52,7 @@ type TransformConfig struct {
 // per-(series, length) sliding statistics.  Each worker owns a dist.Scratch
 // arena, so the per-group working set is allocated once per worker and
 // reused across every instance.  The output is byte-identical to the
-// per-pair ts.Dist loop for any worker count and either kernel.
+// per-pair ts.Dist loop for any worker count.
 //
 // Cancellation is checked per instance: once ctx is done the workers keep
 // draining the job channel (so the producer never blocks) but skip the
@@ -68,7 +69,6 @@ func TransformWith(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, cfg
 		queries[i] = s.Values
 	}
 	batch := dist.NewBatch(queries)
-	batch.SetKernel(cfg.Kernel)
 	out := make([][]float64, len(d.Instances))
 	var total dist.Counts
 	embed := func(j int, c *dist.Counts, s *dist.Scratch) error {
@@ -125,26 +125,25 @@ func TransformWith(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, cfg
 	total.AddTo(sp.Metrics())
 	obs.Log(ctx).Debug("shapelet transform done", "op", "classify.transform",
 		"instances", len(d.Instances), "shapelets", len(shapelets),
-		"workers", max(workers, 1), "rolling", total.Rolling, "fft", total.FFT)
+		"workers", max(workers, 1), "rolling", total.Rolling)
 	return out, nil
 }
 
 // embedRow fills row with one instance's shapelet-transform embedding: a
-// single batched engine evaluation against the instance's prepared series,
-// drawing its working set from the worker's scratch arena.  This is the
+// single batched engine evaluation against the instance, which is prepared
+// in the worker's scratch arena with the rest of the working set.  This is the
 // transform's per-instance scoring path — everything it calls must stay
 // allocation-free inside its loops.
 //
 //ips:hotpath
 func embedRow(ctx context.Context, batch *dist.Batch, series []float64, row []float64, c *dist.Counts, s *dist.Scratch) error {
-	return batch.EvalScratchCtx(ctx, dist.Prepare(series), row, c, s)
+	return batch.EvalScratchCtx(ctx, s.Prepare(series), row, c, s)
 }
 
-// DefaultKernel is the kernel every pipeline transform runs with: the
-// engine's per-query-length choice.  Kernel choice never changes results;
-// TransformConfig.Kernel forces one for measurement and the byte-identity
-// tests.
-const DefaultKernel = dist.KernelAuto
+// DefaultKernel is an empty placeholder for TransformConfig.Kernel.
+//
+// Deprecated: nothing reads it, and it will be removed.
+var DefaultKernel struct{}
 
 // Scaler standardises features to zero mean and unit variance, fitted on
 // training data and applied to both splits.

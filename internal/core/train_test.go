@@ -25,9 +25,9 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestTrainMatchesPrimitives pins Train and Model.Predict, bit for bit, to
-// the classify calls perfbench's traced fit replays: TransformWith with the
-// default kernel, FitScaler, TrainSVMCtx, and on the test split
-// TransformWith and PredictAll.  The scaler's Mean/Std, the SVM's W/B and
+// the classify calls perfbench's traced fit replays: TransformWith,
+// FitScaler, TrainSVMCtx, and on the test split TransformWith and
+// PredictAll.  The scaler's Mean/Std, the SVM's W/B and
 // the predictions must all agree, for any worker count.
 func TestTrainMatchesPrimitives(t *testing.T) {
 	ctx := context.Background()
@@ -48,7 +48,7 @@ func TestTrainMatchesPrimitives(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cfg := classify.TransformConfig{Workers: workers, Kernel: classify.DefaultKernel}
+		cfg := classify.TransformConfig{Workers: workers}
 		X, err := classify.TransformWith(ctx, train, res.Shapelets, cfg)
 		if err != nil {
 			t.Fatal(err)

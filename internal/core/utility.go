@@ -194,7 +194,7 @@ func rawUtilities(ctx context.Context, motifs []ip.Candidate, others []ip.Candid
 	batch := dist.NewBatch(motifValues)
 	var scratch dist.Scratch
 	dcColumn := func(ii int, col []float64) error {
-		return batch.EvalScratchCtx(ctx, dist.Prepare(instances[ii].Values), col, &counts, &scratch)
+		return batch.EvalScratchCtx(ctx, scratch.Prepare(instances[ii].Values), col, &counts, &scratch)
 	}
 	u, err := sumUtilities(ctx, cands, len(motifs), len(instances), useCR, pair, dcColumn, "core.select.raw_dists", sp)
 	if err != nil {

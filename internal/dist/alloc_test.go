@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// allocBatch builds a batch spanning several length groups (short lengths
-// resolve to the rolling kernel, the long one crosses into fft on a cached
-// Prepared) plus a synthetic series, mirroring a serving model's shapelets.
+// allocBatch builds a batch spanning several length groups plus a synthetic
+// series, mirroring a serving model's shapelets.  Every row has at least 16
+// windows, so a CPU with AVX runs them all on the AVX pass.
 func allocBatch() (*Batch, []float64) {
 	lengths := []int{8, 16, 64}
 	var queries [][]float64
@@ -32,7 +32,7 @@ func allocBatch() (*Batch, []float64) {
 // warm-up call.
 func requireZeroAllocs(t *testing.T, what string, fn func()) {
 	t.Helper()
-	fn() // warm-up: grow-once buffers and lazy caches fill here
+	fn() // warm-up: grow-once buffers fill here
 	if allocs := testing.AllocsPerRun(50, fn); allocs != 0 {
 		t.Errorf("%s: %v allocs/run after warm-up, want 0", what, allocs)
 	}
@@ -41,7 +41,7 @@ func requireZeroAllocs(t *testing.T, what string, fn func()) {
 // TestBatchEvalAllocs pins the arena contract of EvalScratchCtx: with a warm
 // Scratch, re-evaluating a batch allocates nothing — neither on the
 // scratch-prepared path (the serve loop: every request series is new) nor on
-// the cached-Prepared path (CV folds re-evaluating resident series).
+// the resident path (CV folds re-evaluating series prepared once).
 func TestBatchEvalAllocs(t *testing.T) {
 	ctx := context.Background()
 	b, series := allocBatch()
@@ -59,8 +59,8 @@ func TestBatchEvalAllocs(t *testing.T) {
 	})
 
 	var s2 Scratch
-	p := Prepare(series) // resident series: fft transforms cache on it
-	requireZeroAllocs(t, "cached-prepared", func() {
+	p := Prepare(series) // resident series, prepared once outside the loop
+	requireZeroAllocs(t, "resident", func() {
 		if err := b.EvalScratchCtx(ctx, p, out, &c, &s2); err != nil {
 			evalErr = err
 		}
@@ -71,8 +71,7 @@ func TestBatchEvalAllocs(t *testing.T) {
 }
 
 // TestScratchMatchesEvalInto pins that the scratch-prepared route matches
-// the resident-Prepared route with a per-call scratch: byte-identical output (kernel choice differs between them, which by
-// contract never changes results).
+// the resident-Prepared route with a per-call scratch: byte-identical output.
 func TestScratchMatchesEvalInto(t *testing.T) {
 	b, series := allocBatch()
 	p := Prepare(series)

@@ -6,24 +6,21 @@ import (
 	"sort"
 
 	"ips/internal/errs"
-	"ips/internal/fft"
 	"ips/internal/obs"
 	"ips/internal/ts"
 )
 
 // Batch is a set of queries prepared for evaluation against many series:
 // per-query energies are precomputed and the queries are grouped by length,
-// so per (series, length) work — the kernel choice and the padded series FFT
-// lookup — is paid once per group instead of once per query.  A Batch is
-// immutable after construction and safe for concurrent EvalScratchCtx calls
-// (one Scratch per goroutine) against different (or the same) Prepared
-// series.
+// so the shape checks and the cancellation check run once per (series,
+// length) group instead of once per query.  A Batch is immutable after
+// construction and safe for concurrent EvalScratchCtx calls (one Scratch per
+// goroutine) against different (or the same) Prepared series.
 type Batch struct {
 	queries [][]float64
 	qq      []float64
 	finite  []bool
 	groups  []group
-	kernel  Kernel // forced kernel for non-degenerate pairs; KernelAuto picks per group
 }
 
 // group is the set of query indices sharing one length, ascending by length.
@@ -61,31 +58,15 @@ func NewBatch(queries [][]float64) *Batch {
 // Len returns the number of queries in the batch.
 func (b *Batch) Len() int { return len(b.queries) }
 
-// SetKernel forces every non-degenerate evaluation onto the given kernel
-// (KernelAuto restores the per-group crossover).  Kernel choice never
-// changes results — it is a measurement knob for benchmarks and the
-// byte-identity tests.  Must be called before the batch is shared across
-// goroutines.
-func (b *Batch) SetKernel(k Kernel) {
-	if k == KernelExact {
-		k = KernelAuto // the exact fallback is reserved for degenerate pairs
-	}
-	b.kernel = k
-}
-
 // EvalScratchCtx evaluates every query against p into out (which must hold
 // Len() values), each byte-identical to ts.Dist(query, series), accumulating
-// kernel accounting into c (nil is allowed).  Queries are processed grouped
-// by length: the kernel is chosen once per group, and the fft kernel reuses
-// one cached padded series transform across every group whose pad size
-// coincides.
+// kernel accounting into c (nil is allowed).
 //
 // The working set comes from a caller-owned Scratch (nil means a fresh one
-// per call): the profile buffer and the fft complex buffer grow once
-// inside s and are reused verbatim on the next call.  Callers that
-// re-evaluate the same batch against a stream of series — the serve loop,
-// CV folds — perform zero allocations after warm-up.  s must not be shared
-// across goroutines.
+// per call): the profile buffer grows once inside s and is reused verbatim
+// on the next call.  Callers that re-evaluate the same batch against a
+// stream of series — the serve loop, CV folds — perform zero allocations
+// after warm-up.  s must not be shared across goroutines.
 //
 // Cancellation is cooperative at length-group granularity: between groups
 // the context is checked, and once it is done the remaining groups are
@@ -123,27 +104,18 @@ func (b *Batch) EvalScratchCtx(ctx context.Context, p *Prepared, out []float64, 
 			}
 			continue
 		}
-		kernel := b.kernel
-		if kernel == KernelAuto {
-			kernel = chooseKernel(m, n)
-		}
-		var f *fft.FT
-		if kernel == KernelFFT && !p.noFFT { // scratch-prepared: no resident transform to amortise
-			f = p.ft(fft.NextPow2(n+m-1), c)
-		}
 		for _, qi := range g.idx {
-			out[qi] = b.eval(p, qi, f, s, c)
+			out[qi] = b.eval(p, qi, s, c)
 		}
 	}
 	return nil
 }
 
 // eval evaluates query qi: ts.Dist for a non-finite query, otherwise its
-// approximate profile (through the padded transform f when one is given,
-// from direct sliding dots otherwise) refined exactly by profileMin.
+// approximate profile refined exactly by profileMin.
 //
 //ips:hotpath
-func (b *Batch) eval(p *Prepared, qi int, f *fft.FT, s *Scratch, c *Counts) float64 {
+func (b *Batch) eval(p *Prepared, qi int, s *Scratch, c *Counts) float64 {
 	q := b.queries[qi]
 	if !b.finite[qi] {
 		c.Exact++
@@ -154,8 +126,7 @@ func (b *Batch) eval(p *Prepared, qi int, f *fft.FT, s *Scratch, c *Counts) floa
 		s.dots = make([]float64, w)
 	}
 	prof := s.dots[:w]
-	var minHat float64
-	minHat, s.cbuf = p.approxProfile(q, b.qq[qi], prof, f, s.cbuf, c)
+	minHat := p.approxProfile(q, b.qq[qi], prof, c)
 	return p.profileMin(q, b.qq[qi], prof, minHat, c)
 }
 

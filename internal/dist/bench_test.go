@@ -8,8 +8,8 @@ import (
 	"ips/internal/ts"
 )
 
-// BenchmarkKernels measures each kernel against the naive per-pair ts.Dist
-// scan on two kinds of data:
+// BenchmarkKernels measures the batch engine against the naive per-pair
+// ts.Dist scan on three kinds of data:
 //
 //   - walk: random-walk series and queries over a (series length, query
 //     length) grid;
@@ -18,13 +18,10 @@ import (
 //     series lengths of UWave (315), Mallat (1024) and HandOutlines (2709) —
 //     the shapes the shapelet transform sees;
 //   - past: random walks at (n=8192, m=2048), (n=8192, m=4096) and
-//     (n=16384, m=8192), past both grids, where the fft kernel catches up
-//     with the rolling kernel's AVX pass and then beats it.
+//     (n=16384, m=8192), past both grids.
 //
-// These runs calibrate the fftCostFactor, fftCostFactorAVX and
-// fftMinQueryLen crossover constants in dist.go: for every (m, n) cell the
-// auto kernel should pick whichever of rolling/fft wins here.  The rolling
-// rows run the AVX pass on a CPU that has it and the Go pass elsewhere.
+// The engine rows run the AVX pass on a CPU that has it and the Go pass
+// elsewhere.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{256, 1024, 4096} {
@@ -64,7 +61,7 @@ func BenchmarkKernels(b *testing.B) {
 	}
 }
 
-// benchKernels runs the naive scan and each forced kernel on one cell.
+// benchKernels runs the naive scan and the engine on one cell.
 func benchKernels(b *testing.B, cell string, series []float64, queries [][]float64) {
 	b.Run("naive/"+cell, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -73,18 +70,15 @@ func benchKernels(b *testing.B, cell string, series []float64, queries [][]float
 			}
 		}
 	})
-	for _, kernel := range []Kernel{KernelRolling, KernelFFT} {
-		b.Run(fmt.Sprintf("%v/%s", kernel, cell), func(b *testing.B) {
-			batch := NewBatch(queries)
-			batch.SetKernel(kernel)
-			out := make([]float64, len(queries))
-			p := Prepare(series)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				evalInto(b, batch, p, out, nil)
-			}
-		})
-	}
+	b.Run("engine/"+cell, func(b *testing.B) {
+		batch := NewBatch(queries)
+		out := make([]float64, len(queries))
+		p := Prepare(series)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			evalInto(b, batch, p, out, nil)
+		}
+	})
 }
 
 // benchSink keeps the benchmarked passes' results live.

@@ -60,8 +60,7 @@ func bitsEqual(a, b float64) bool {
 // data sweep and requires byte-identical agreement with ts.Dist.  The shapes
 // make the window count w = n−m+1 take every value from 1 to 9 and eight
 // consecutive larger values, so every residue modulo the rolling kernel's
-// block width occurs; the longest shape crosses to the fft kernel against
-// the Go pass.
+// block width occurs.
 func TestDistMatchesTsDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := [][2]int{
@@ -98,14 +97,13 @@ func TestDistMatchesTsDist(t *testing.T) {
 	}
 }
 
-// TestBatchKernelsMatchTsDist forces each kernel over the same workloads and
-// requires byte-identical agreement with ts.Dist per (query, series) pair —
-// the property that makes kernel choice a pure throughput knob.  The query
-// lengths make the window count w = n−m+1 take every value from 1 to 9 and
-// eight consecutive larger values, so every register-block edge of the
-// rolling kernel is hit, and a NaN query sits between two finite queries of
-// the same length (it must neither fail nor poison its neighbours' shared
-// buffers).
+// TestBatchKernelsMatchTsDist runs the batch engine over several workloads
+// and requires byte-identical agreement with ts.Dist per (query, series)
+// pair.  The query lengths make the window count w = n−m+1 take every value
+// from 1 to 9 and eight consecutive larger values, so every register-block
+// edge of the rolling kernel is hit, and a NaN query sits between two finite
+// queries of the same length (it must neither fail nor poison its
+// neighbours' shared buffers).
 func TestBatchKernelsMatchTsDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for kind := 0; kind < 4; kind++ {
@@ -134,31 +132,22 @@ func TestBatchKernelsMatchTsDist(t *testing.T) {
 		for i, q := range queries {
 			want[i] = ts.Dist(q, series)
 		}
-		for _, kernel := range []Kernel{KernelAuto, KernelRolling, KernelFFT} {
-			b := NewBatch(queries)
-			b.SetKernel(kernel)
-			p := Prepare(series)
-			var c Counts
-			out := make([]float64, len(queries))
-			evalInto(t, b, p, out, &c)
-			for i := range out {
-				if !bitsEqual(out[i], want[i]) {
-					t.Fatalf("kind=%d kernel=%v query %d (m=%d): got %v (bits %x), want %v (bits %x)",
-						kind, kernel, i, len(queries[i]), out[i], math.Float64bits(out[i]), want[i], math.Float64bits(want[i]))
-				}
+		b := NewBatch(queries)
+		p := Prepare(series)
+		var c Counts
+		out := make([]float64, len(queries))
+		evalInto(t, b, p, out, &c)
+		for i := range out {
+			if !bitsEqual(out[i], want[i]) {
+				t.Fatalf("kind=%d query %d (m=%d): got %v (bits %x), want %v (bits %x)",
+					kind, i, len(queries[i]), out[i], math.Float64bits(out[i]), want[i], math.Float64bits(want[i]))
 			}
-			if c.Rolling+c.FFT+c.Exact != int64(len(queries)) {
-				t.Fatalf("kernel=%v counts %+v do not cover %d queries", kernel, c, len(queries))
-			}
-			if c.Exact != 1 {
-				t.Fatalf("kernel=%v counts %+v: want exactly the NaN query on the exact fallback", kernel, c)
-			}
-			if kernel == KernelFFT && c.FFT == 0 {
-				t.Fatalf("forced fft kernel evaluated nothing via fft: %+v", c)
-			}
-			if kernel == KernelRolling && c.FFT != 0 {
-				t.Fatalf("forced rolling kernel used fft: %+v", c)
-			}
+		}
+		if c.Rolling+c.Exact != int64(len(queries)) {
+			t.Fatalf("kind=%d counts %+v do not cover %d queries", kind, c, len(queries))
+		}
+		if c.Exact != 1 {
+			t.Fatalf("kind=%d counts %+v: want exactly the NaN query on the exact fallback", kind, c)
 		}
 	}
 }
@@ -213,34 +202,11 @@ func TestWindowSums(t *testing.T) {
 	}
 }
 
-// TestKernelFor pins the crossover shape: short queries roll, long queries
-// against long series cross to fft, degenerate shapes are exact.  Where the
-// crossover lies depends on the rolling pass: (n=4096, m=512) is fft's
-// against the Go pass and rolling's on the AVX pass.
-func TestKernelFor(t *testing.T) {
-	if k := KernelFor(8, 4096); k != KernelRolling {
-		t.Fatalf("KernelFor(8, 4096) = %v, want rolling", k)
-	}
-	if k := KernelFor(8192, 16384); k != KernelFFT {
-		t.Fatalf("KernelFor(8192, 16384) = %v, want fft", k)
-	}
-	want := KernelFFT
-	if avx {
-		want = KernelRolling
-	}
-	if k := KernelFor(512, 4096); k != want {
-		t.Fatalf("KernelFor(512, 4096) = %v, want %v (avx %v)", k, want, avx)
-	}
-	if k := KernelFor(0, 100); k != KernelExact {
-		t.Fatalf("KernelFor(0, 100) = %v, want exact", k)
-	}
-	if k := KernelFor(200, 100); k != KernelExact {
-		t.Fatalf("KernelFor(200, 100) = %v, want exact", k)
-	}
-}
-
 // TestCountsFlush verifies the obs plumbing end to end: counters land in the
-// registry under the dist.* namespace and span attributes are recorded.
+// registry under the dist.* namespace and span attributes are recorded.  Its
+// long query, (n=16384, m=8192), is the largest shape any test evaluates:
+// the AVX pass cuts its row into chunks of 32 windows (other CPUs run the Go
+// pass), and both values must still be bit-equal to ts.Dist.
 func TestCountsFlush(t *testing.T) {
 	o := obs.New("test")
 	rng := rand.New(rand.NewSource(9))
@@ -249,43 +215,28 @@ func TestCountsFlush(t *testing.T) {
 	b := NewBatch(queries)
 	p := Prepare(series)
 	var c Counts
-	evalInto(t, b, p, make([]float64, len(queries)), &c)
+	out := evalInto(t, b, p, make([]float64, len(queries)), &c)
+	for i, q := range queries {
+		if want := ts.Dist(q, series); !bitsEqual(out[i], want) {
+			t.Fatalf("query %d (m=%d): got %v (bits %x), ts.Dist %v (bits %x)",
+				i, len(q), out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
+		}
+	}
+	if c.Rolling != 2 {
+		t.Fatalf("counts %+v: want both queries on the rolling kernel", c)
+	}
 	c.AddTo(o.Metrics())
 	if got := o.Metrics().Counter("dist.kernel.rolling").Value(); got != c.Rolling {
 		t.Fatalf("registry rolling = %d, want %d", got, c.Rolling)
 	}
-	if got := o.Metrics().Counter("dist.kernel.fft").Value(); got != c.FFT || c.FFT == 0 {
-		t.Fatalf("registry fft = %d, want %d (nonzero)", got, c.FFT)
-	}
-	// Both kernels re-sum at least the minimising window exactly.
+	// The exact step re-sums at least the minimising window of each query.
 	if got := o.Metrics().Counter("dist.refined_windows").Value(); got != c.Refined || c.Refined < int64(len(queries)) {
 		t.Fatalf("registry refined_windows = %d, want %d (at least one per query)", got, c.Refined)
 	}
 	sp := o.Root().Child("eval")
 	c.Annotate(sp)
 	sp.End()
-	if len(sp.Attrs()) != 3 {
-		t.Fatalf("span attrs = %v, want 3", sp.Attrs())
-	}
-}
-
-// TestFFTTransformCacheReuse verifies the padded transform is built once per
-// pad size and shared across queries and calls.
-func TestFFTTransformCacheReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	series := randSeries(rng, 1000, 0)
-	p := Prepare(series)
-	queries := [][]float64{randSeries(rng, 400, 1), randSeries(rng, 400, 2), randSeries(rng, 420, 1)}
-	b := NewBatch(queries)
-	b.SetKernel(KernelFFT)
-	var c Counts
-	evalInto(t, b, p, make([]float64, len(queries)), &c)
-	if c.FFTCacheMisses == 0 || c.FFTCacheHits == 0 {
-		t.Fatalf("expected both misses and hits across shared pad sizes: %+v", c)
-	}
-	before := c
-	evalInto(t, b, p, make([]float64, len(queries)), &c)
-	if c.FFTCacheMisses != before.FFTCacheMisses {
-		t.Fatalf("second pass rebuilt transforms: %+v", c)
+	if len(sp.Attrs()) != 2 {
+		t.Fatalf("span attrs = %v, want 2", sp.Attrs())
 	}
 }

@@ -11,7 +11,7 @@ import (
 // fuzzFloatsCapped decodes 8-byte chunks as float64s, remapping NaN/±Inf and
 // overflow-scale magnitudes (>1e100) to small finite stand-ins.  The cap
 // keeps every intermediate — window energies, cross terms, squared diffs —
-// finite, so the fuzz exercises the kernels rather than the ts.Dist fallback
+// finite, so the fuzz exercises the rolling kernel rather than the ts.Dist fallback
 // the engine routes non-finite data to (that fallback is pinned separately
 // in TestDegenerateInputs).
 func fuzzFloatsCapped(data []byte) []float64 {
@@ -29,8 +29,8 @@ func fuzzFloatsCapped(data []byte) []float64 {
 }
 
 // FuzzDist cross-checks the Def. 4 implementations on arbitrary finite
-// input: ts.Dist (the reference), Prepared.Dist, and the engine's rolling and
-// fft kernels, all byte-identical to the reference by contract.
+// input: ts.Dist (the reference), Prepared.Dist and the batch engine, both
+// byte-identical to the reference by contract.
 func FuzzDist(f *testing.F) {
 	f.Add([]byte{3})
 	seed := make([]byte, 1+8*24)
@@ -57,7 +57,7 @@ func FuzzDist(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 || len(data) > 1+8*256 {
-			return // keep execs cheap: 256 points already spans both kernels
+			return // keep execs cheap: 256 points already spans both rolling passes
 		}
 		vals := fuzzFloatsCapped(data[1:])
 		if len(vals) == 0 {
@@ -72,13 +72,10 @@ func FuzzDist(f *testing.F) {
 			t.Fatalf("Dist = %v (bits %x), ts.Dist = %v (bits %x), m=%d n=%d",
 				got, math.Float64bits(got), want, math.Float64bits(want), len(q), len(series))
 		}
-		for _, kernel := range []Kernel{KernelRolling, KernelFFT} {
-			b := NewBatch([][]float64{q})
-			b.SetKernel(kernel)
-			if out := evalInto(t, b, p, make([]float64, 1), nil); !bitsEqual(out[0], want) {
-				t.Fatalf("kernel %v = %v (bits %x), ts.Dist = %v (bits %x), m=%d n=%d",
-					kernel, out[0], math.Float64bits(out[0]), want, math.Float64bits(want), len(q), len(series))
-			}
+		b := NewBatch([][]float64{q})
+		if out := evalInto(t, b, p, make([]float64, 1), nil); !bitsEqual(out[0], want) {
+			t.Fatalf("batch = %v (bits %x), ts.Dist = %v (bits %x), m=%d n=%d",
+				out[0], math.Float64bits(out[0]), want, math.Float64bits(want), len(q), len(series))
 		}
 	})
 }

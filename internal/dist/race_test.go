@@ -7,18 +7,17 @@ import (
 	"sync"
 	"testing"
 
-	"ips/internal/fft"
 	"ips/internal/ts"
 )
 
 // TestSharedCacheConcurrent exercises the engine's concurrency contract
-// under the race detector: one set of Prepared series and two Batches shared
-// by many goroutines, each evaluating every series with both batches.  The
-// auto batch resolves every shape here to the rolling kernel and the forced
-// batch runs the fft kernel, so the mutex-guarded per-Prepared transform
-// cache is hit from every goroutine at once.  Every goroutine must see
-// byte-identical results, and each padded transform must be built exactly
-// once however many goroutines ask for it.
+// under the race detector: one set of resident Prepared series (the shared
+// per-series prefix sums) and one Batch, shared by eight goroutines.  Each
+// goroutine evaluates every series twice, once through the shared Prepared
+// and once through its own Scratch.Prepare of the same series, half of them
+// in the other order.  The 395-point query leaves the 400-point series six
+// windows, so the Go pass runs beside the AVX pass.  Every goroutine must see
+// byte-identical results.
 func TestSharedCacheConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var seriesSet [][]float64
@@ -30,24 +29,19 @@ func TestSharedCacheConcurrent(t *testing.T) {
 		randSeries(rng, 32, 0),
 		randSeries(rng, 128, 2),
 		randSeries(rng, 256, 0),
+		randSeries(rng, 395, 1),
 	}
 	want := make([][]float64, len(seriesSet))
 	prepared := make([]*Prepared, len(seriesSet))
-	wantMisses := int64(0)
 	for si, s := range seriesSet {
 		want[si] = make([]float64, len(queries))
-		pads := map[int]bool{}
 		for qi, q := range queries {
 			want[si][qi] = ts.Dist(q, s)
-			pads[fft.NextPow2(len(s)+len(q)-1)] = true
 		}
 		prepared[si] = Prepare(s)
-		wantMisses += int64(len(pads))
 	}
 
-	auto := NewBatch(queries)
-	forced := NewBatch(queries)
-	forced.SetKernel(KernelFFT)
+	batch := NewBatch(queries)
 	const workers = 8
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -63,14 +57,18 @@ func TestSharedCacheConcurrent(t *testing.T) {
 				total.Merge(c)
 				mu.Unlock()
 			}()
-			batches := []*Batch{auto, forced}
-			if w%2 == 1 {
-				batches[0], batches[1] = forced, auto
-			}
+			var s Scratch
 			out := make([]float64, len(queries))
 			for si, p := range prepared {
-				for _, b := range batches {
-					if err := b.EvalScratchCtx(context.Background(), p, out, &c, nil); err != nil {
+				routes := []*Prepared{p, nil} // nil: prepare into s
+				if w%2 == 1 {
+					routes[0], routes[1] = nil, p
+				}
+				for _, r := range routes {
+					if r == nil {
+						r = s.Prepare(seriesSet[si])
+					}
+					if err := batch.EvalScratchCtx(context.Background(), r, out, &c, &s); err != nil {
 						errs <- err.Error()
 						return
 					}
@@ -89,11 +87,7 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	for msg := range errs {
 		t.Fatal(msg)
 	}
-	if total.Rolling == 0 || total.FFT == 0 {
-		t.Fatalf("counts %+v: want both the rolling and the fft kernel to run", total)
-	}
-	if total.FFTCacheMisses != wantMisses {
-		t.Fatalf("fft cache misses = %d, want %d (one transform per series and pad size, built once)",
-			total.FFTCacheMisses, wantMisses)
+	if wantRolling := int64(workers * 2 * len(seriesSet) * len(queries)); total.Rolling != wantRolling || total.Exact != 0 {
+		t.Fatalf("counts %+v: want %d rolling evaluations and no exact fallback", total, wantRolling)
 	}
 }

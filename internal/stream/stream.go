@@ -43,9 +43,9 @@ type DriftConfig struct {
 	MinSamples int
 }
 
-// Config configures a Stream.  Its features come from the engine's
-// per-length kernel choice, whose byte-identity to ts.Dist is what keeps
-// the delta transform exact (see the package doc).
+// Config configures a Stream.  Its features come from the distance engine,
+// whose byte-identity to ts.Dist is what keeps the delta transform exact
+// (see the package doc).
 type Config struct {
 	// Window is the matrix-profile window length (required, >= 1).
 	Window int
