@@ -45,7 +45,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"strings"
@@ -53,6 +52,7 @@ import (
 
 	ips "ips"
 	"ips/internal/obs"
+	"ips/internal/ts"
 	"ips/internal/ucr"
 )
 
@@ -231,7 +231,7 @@ func main() {
 				break
 			}
 			fmt.Printf("  class %d len %3d score %7.3f  %s\n",
-				s.Class, len(s.Values), s.Score, sparkline(s.Values))
+				s.Class, len(s.Values), s.Score, ts.Spark(s.Values))
 			shown++
 		}
 	}
@@ -279,25 +279,4 @@ func loadData(dataset, dataDir, trainPath, testPath string, seed int64) (train, 
 	default:
 		return nil, nil, fmt.Errorf("need -dataset, or -train and -test")
 	}
-}
-
-// sparkline renders a series with Unicode block characters.
-func sparkline(s ips.Series) string {
-	if len(s) == 0 {
-		return ""
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range s {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if hi <= lo {
-		return strings.Repeat(string(levels[0]), len(s))
-	}
-	var sb strings.Builder
-	for _, v := range s {
-		sb.WriteRune(levels[int((v-lo)/(hi-lo)*float64(len(levels)-1))])
-	}
-	return sb.String()
 }

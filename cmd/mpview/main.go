@@ -24,13 +24,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	ips "ips"
 	"ips/internal/mp"
+	"ips/internal/ts"
 )
 
 func main() {
@@ -67,11 +67,11 @@ func main() {
 	fmt.Println("top motifs (position, neighbour, distance):")
 	for _, pair := range p.TopMotifs(*motifs) {
 		fmt.Printf("  %5d  %5d  %.4f  %s\n", pair[0], pair[1], p.P[pair[0]],
-			spark(series[pair[0]:pair[0]+*w]))
+			ts.Spark(series[pair[0]:pair[0]+*w]))
 	}
 	fmt.Println("\ntop discords (position, distance):")
 	for _, idx := range p.TopDiscords(*discords) {
-		fmt.Printf("  %5d  %.4f  %s\n", idx, p.P[idx], spark(series[idx:idx+*w]))
+		fmt.Printf("  %5d  %.4f  %s\n", idx, p.P[idx], ts.Spark(series[idx:idx+*w]))
 	}
 }
 
@@ -110,29 +110,4 @@ func loadSeries(dataset string, instance int, seed int64, path string) (ips.Seri
 		}
 	}
 	return out, sc.Err()
-}
-
-// spark renders s as one block rune per value, from ▁ at its minimum to █ at
-// its maximum.  The values are halved before they are subtracted, so a window
-// that spans more than the float64 range (1.7e308 beside −1.7e308) cannot
-// overflow hi − lo to +Inf; halving is exact, so it moves no level.  The level
-// index is clamped to the rune table all the same.
-func spark(s ips.Series) string {
-	levels := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range s {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if hi <= lo {
-		return strings.Repeat(string(levels[0]), len(s))
-	}
-	top := len(levels) - 1
-	span := hi/2 - lo/2
-	var sb strings.Builder
-	for _, v := range s {
-		k := int((v/2 - lo/2) / span * float64(top))
-		sb.WriteRune(levels[min(max(k, 0), top)])
-	}
-	return sb.String()
 }

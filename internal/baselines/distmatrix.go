@@ -28,8 +28,8 @@ func prepareAll(train *ts.Dataset) []*dist.Prepared {
 // re-deriving them per (candidate, instance) pair.
 //
 // Cancellation flows into the engine: once ctx is done the current instance
-// pass stops at its next length-group boundary and distMatrix returns a nil
-// matrix with an error matching errs.ErrCanceled.
+// pass stops before its next query and distMatrix returns a nil matrix with
+// an error matching errs.ErrCanceled.
 func distMatrix(ctx context.Context, prepared []*dist.Prepared, idx []int, queries [][]float64) ([][]float64, error) {
 	if idx == nil {
 		idx = make([]int, len(prepared))

@@ -6,11 +6,10 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"ips/internal/errs"
 	"ips/internal/obs"
+	"ips/internal/par"
 )
 
 // SVMConfig parameterises TrainSVMCtx.
@@ -65,16 +64,16 @@ const (
 // TrainSVMCtx fits one binary hinge-loss SVM per class on features X with
 // labels y.
 //
-// The one-vs-rest problems fan out over cfg.Workers goroutines, and each
-// goroutine advances up to four of them in lockstep lanes: at every step of
-// a pass each lane updates one coordinate of its own problem, and the
-// lanes' scores w·x are summed in one loop, so their add chains overlap
-// instead of waiting on each other.  A problem leaves its lane when it
-// converges or reaches cfg.Epochs, and the next queued problem takes the
-// lane.  Every problem keeps its own visiting order, dual variables,
-// weights and bias and performs the same operations in the same order as
-// it would alone, so W, B and the pass counts are bit-identical for any
-// worker count.
+// The one-vs-rest problems are dealt to cfg.Workers workers of the shared
+// pool (par.Run), and each worker advances up to four of them in lockstep
+// lanes: at every step of a pass each lane updates one coordinate of its own
+// problem, and the lanes' scores w·x are summed in one loop, so their add
+// chains overlap instead of waiting on each other.  A problem leaves its
+// lane when it converges or reaches cfg.Epochs, and the next problem the
+// pool deals takes the lane.  Every problem keeps its own visiting order,
+// dual variables, weights and bias and performs the same operations in the
+// same order as it would alone, so W, B and the pass counts are
+// bit-identical for any worker count.
 //
 // sp receives one svm.class-N sub-span per problem, in class order, open
 // from the start of training until the problem leaves its lane and
@@ -82,7 +81,7 @@ const (
 // classify.svm.passes counter totalling them.  A nil span disables all of
 // it; the trained weights are identical either way.  Cancellation is
 // checked before every pass; a cancelled run returns a nil model and an
-// error matching errs.ErrCanceled once every goroutine has stopped.
+// error matching errs.ErrCanceled once every worker has stopped.
 //
 //ips:blocking
 func TrainSVMCtx(ctx context.Context, X [][]float64, y []int, cfg SVMConfig, sp *obs.Span) (*SVM, error) {
@@ -116,34 +115,18 @@ func TrainSVMCtx(ctx context.Context, X [][]float64, y []int, cfg SVMConfig, sp 
 		s.spans = append(s.spans, sp.Child("svm.class-"+strconv.Itoa(class)))
 	}
 
-	// Spread the problems over as many goroutines as the workers allow
-	// before giving one goroutine several lanes; a goroutine with more
-	// than four problems to solve refills its lanes from the queue.
+	// Spread the problems over as many workers as cfg.Workers allows before
+	// giving one worker several lanes; a worker with more than four problems
+	// to solve refills its lanes from the pool.
 	k := len(classes)
 	workers := min(max(cfg.Workers, 1), k)
 	width := min(svmLanes, (k+workers-1)/workers)
-	workers = min(workers, (k+width-1)/width)
-	var err error
-	if workers == 1 {
-		err = s.work(ctx, width)
-	} else {
-		var wg sync.WaitGroup
-		errc := make([]error, workers)
-		for g := range errc {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				errc[g] = s.work(ctx, width)
-			}(g)
-		}
-		wg.Wait()
-		for _, e := range errc {
-			if e != nil {
-				err = e
-				break
-			}
-		}
-	}
+	par.Run(ctx, min(workers, (k+width-1)/width), k, func(_ int, next func() (int, bool)) {
+		s.work(ctx, width, next)
+	})
+	// A cancelled pool leaves problems unstarted, and a cancelled worker
+	// stops its lanes mid-problem: either way ctx reports it.
+	err := errs.Ctx(ctx, errs.StageTrain, "classify.svm")
 
 	passesCtr := sp.Metrics().Counter("classify.svm.passes")
 	m := &SVM{Classes: classes, W: make([][]float64, k), B: make([]float64, k)}
@@ -165,7 +148,8 @@ func TrainSVMCtx(ctx context.Context, X [][]float64, y []int, cfg SVMConfig, sp 
 
 // svmSolver holds what the one-vs-rest problems share: the features, the
 // diagonal Q_ii = ‖x_i‖² + bias² (at least 1, so every step may divide by
-// it), the budget C, and the queue of problems not yet started.  Each problem's result lands in done at its class index.
+// it) and the budget C.  Each problem's result lands in done at its class
+// index.
 type svmSolver struct {
 	X       [][]float64
 	y       []int
@@ -176,7 +160,6 @@ type svmSolver struct {
 	// idle pads a group to svmLanes lanes: zero weights, never updated.
 	idle *svmProblem
 
-	next  atomic.Int64 // class index of the next problem to start
 	done  []*svmProblem
 	spans []*obs.Span
 }
@@ -212,10 +195,11 @@ func newSVMSolver(X [][]float64, y []int, classes []int, cfg SVMConfig) *svmSolv
 	}
 }
 
-// take starts the next queued problem, or returns nil when none is left.
-func (s *svmSolver) take() *svmProblem {
-	ci := int(s.next.Add(1) - 1)
-	if ci >= len(s.classes) {
+// take starts the problem of the next class index the pool deals, or
+// returns nil when none is left.
+func (s *svmSolver) take(next func() (int, bool)) *svmProblem {
+	ci, ok := next()
+	if !ok {
 		return nil
 	}
 	n, class := len(s.X), s.classes[ci]
@@ -230,28 +214,29 @@ func (s *svmSolver) take() *svmProblem {
 	return p
 }
 
-// work advances up to width problems in lockstep until the queue is empty.
-// A problem retires after a pass that converged or reached cfg.Epochs, and
-// the next queued problem takes its lane.  The context is checked once per
-// pass, bounding cancellation latency to one O(n·dim) sweep.
-func (s *svmSolver) work(ctx context.Context, width int) error {
+// work advances up to width problems in lockstep until the pool has none
+// left to deal.  A problem retires after a pass that converged or reached
+// cfg.Epochs, and the next dealt problem takes its lane.  The context is
+// checked once per pass, bounding cancellation latency to one O(n·dim)
+// sweep; a cancelled worker files its problems unfinished.
+func (s *svmSolver) work(ctx context.Context, width int, next func() (int, bool)) {
 	group := make([]*svmProblem, 0, width)
 	for {
 		for len(group) < width {
-			p := s.take()
+			p := s.take(next)
 			if p == nil {
 				break
 			}
 			group = append(group, p)
 		}
 		if len(group) == 0 {
-			return nil
+			return
 		}
-		if err := errs.Ctx(ctx, errs.StageTrain, "classify.svm"); err != nil {
+		if ctx.Err() != nil {
 			for _, p := range group {
 				s.done[p.ci] = p
 			}
-			return err
+			return
 		}
 		s.pass(group)
 		kept := group[:0]

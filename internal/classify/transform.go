@@ -13,6 +13,7 @@ import (
 	"ips/internal/dist"
 	"ips/internal/errs"
 	"ips/internal/obs"
+	"ips/internal/par"
 	"ips/internal/ts"
 )
 
@@ -47,17 +48,18 @@ type TransformConfig struct {
 // TransformWith is the shapelet transform with cooperative cancellation and
 // the full engine configuration.
 //
-// Each instance's embedding row is one batched engine evaluation: the
-// shapelets are grouped by length once up front, and every row shares the
-// per-(series, length) sliding statistics.  Each worker owns a dist.Scratch
-// arena, so the per-group working set is allocated once per worker and
-// reused across every instance.  The output is byte-identical to the
-// per-pair ts.Dist loop for any worker count.
+// Each instance's embedding row is one batched engine evaluation: every
+// shapelet's energy is computed once up front, and each row prepares its
+// instance's prefix sums once and shares them across every shapelet.  The
+// instances are dealt to cfg.Workers workers of the shared pool (par.Run);
+// each worker owns a dist.Scratch arena, so the working set is allocated
+// once per worker and reused across every instance.  The output is
+// byte-identical to the per-pair ts.Dist loop for any worker count.
 //
-// Cancellation is checked per instance: once ctx is done the workers keep
-// draining the job channel (so the producer never blocks) but skip the
-// embeddings, and TransformWith returns a nil matrix with an error matching
-// errs.ErrCanceled.  No partially-written matrix escapes.
+// Cancellation is checked per instance, and per shapelet inside each row:
+// once ctx is done the pool deals no more instances, and TransformWith
+// returns a nil matrix with an error matching errs.ErrCanceled.  No
+// partially-written matrix escapes.
 func TransformWith(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, cfg TransformConfig) ([][]float64, error) {
 	workers, sp := cfg.Workers, cfg.Span
 	sp.SetInt("instances", int64(len(d.Instances)))
@@ -71,55 +73,22 @@ func TransformWith(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, cfg
 	batch := dist.NewBatch(queries)
 	out := make([][]float64, len(d.Instances))
 	var total dist.Counts
-	embed := func(j int, c *dist.Counts, s *dist.Scratch) error {
-		row := make([]float64, len(shapelets))
-		if err := embedRow(ctx, batch, d.Instances[j].Values, row, c, s); err != nil {
-			return err // cancellation mid-row: row is partial, drop it
-		}
-		out[j] = row
-		return nil
-	}
-	if workers <= 1 || len(d.Instances) < 2 {
+	var mu sync.Mutex
+	par.Run(ctx, workers, len(d.Instances), func(_ int, next func() (int, bool)) {
+		var local dist.Counts
 		var scratch dist.Scratch
-		for j := range d.Instances {
-			if err := errs.Ctx(ctx, errs.StageTransform, "classify.transform"); err != nil {
-				return nil, err
-			}
-			if err := embed(j, &total, &scratch); err != nil {
-				return nil, err
+		for j, ok := next(); ok; j, ok = next() {
+			row := make([]float64, len(shapelets))
+			if embedRow(ctx, batch, d.Instances[j].Values, row, &local, &scratch) == nil {
+				out[j] = row // a row cut short by cancellation is dropped below
 			}
 		}
-	} else {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		ch := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var local dist.Counts
-				var scratch dist.Scratch
-				for j := range ch {
-					if ctx.Err() != nil {
-						continue // drain without working
-					}
-					if err := embed(j, &local, &scratch); err != nil {
-						continue // the post-Wait ctx check reports it
-					}
-				}
-				mu.Lock()
-				total.Merge(local)
-				mu.Unlock()
-			}()
-		}
-		for j := range d.Instances {
-			ch <- j
-		}
-		close(ch)
-		wg.Wait()
-		if err := errs.Ctx(ctx, errs.StageTransform, "classify.transform"); err != nil {
-			return nil, err
-		}
+		mu.Lock()
+		total.Merge(local)
+		mu.Unlock()
+	})
+	if err := errs.Ctx(ctx, errs.StageTransform, "classify.transform"); err != nil {
+		return nil, err
 	}
 	total.Annotate(sp)
 	total.AddTo(sp.Metrics())

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// allocBatch builds a batch spanning several length groups plus a synthetic
+// allocBatch builds a batch of queries of several lengths plus a synthetic
 // series, mirroring a serving model's shapelets.  Every row has at least 16
 // windows, so a CPU with AVX runs them all on the AVX pass.
 func allocBatch() (*Batch, []float64) {

@@ -113,22 +113,33 @@ func (p *Prepared) Dist(q []float64) float64 {
 }
 
 // DistCounted is Dist with kernel accounting into c (nil is allowed).  It
-// runs the batch engine's per-query path on a profile allocated per call.
+// runs the batch engine's per-query path with a fresh Scratch.
 func (p *Prepared) DistCounted(q []float64, c *Counts) float64 {
 	if c == nil {
 		c = &Counts{}
 	}
-	m, n := len(q), len(p.t)
-	if m == 0 || n == 0 {
-		c.Exact++
-		return 0 // ts.Dist: an empty (shorter) side is at distance 0
-	}
 	qq := sumSq(q)
-	if m > n || !p.finite || !finiteTotal(qq) {
+	return p.eval(q, qq, finiteTotal(qq), &Scratch{}, c)
+}
+
+// eval is the engine's one per-query path, behind Batch.EvalScratchCtx and
+// DistCounted: q has energy qq, and finite says whether qq is finite.  A
+// degenerate pair — an empty or over-long query, or a non-finite value on
+// either side — goes to ts.Dist; every other pair runs the rolling kernel
+// into s's profile buffer and the exact step.
+//
+//ips:hotpath
+func (p *Prepared) eval(q []float64, qq float64, finite bool, s *Scratch, c *Counts) float64 {
+	m, n := len(q), len(p.t)
+	if m == 0 || m > n || !finite || !p.finite {
 		c.Exact++
-		return ts.Dist(q, p.t)
+		return ts.Dist(q, p.t) // 0 for an empty query, as ts.Dist defines it
 	}
-	prof := make([]float64, n-m+1)
+	w := n - m + 1
+	if cap(s.dots) < w {
+		s.dots = make([]float64, w)
+	}
+	prof := s.dots[:w]
 	minHat := p.approxProfile(q, qq, prof, c)
 	return p.profileMin(q, qq, prof, minHat, c)
 }

@@ -12,12 +12,12 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"ips/internal/errs"
 	"ips/internal/mp"
 	"ips/internal/obs"
+	"ips/internal/par"
 	"ips/internal/ts"
 )
 
@@ -144,8 +144,8 @@ func (c Config) Defaults() Config {
 // instance boundaries excluded.  It returns the profile and the
 // concatenated series it annotates.  opt.Workers parallelises the
 // underlying STOMP self-join over diagonal tiles (the profile is
-// byte-identical for any worker count), and opt.Span receives the kernel's
-// spans.  Cancelling ctx returns an error matching errs.ErrCanceled.
+// byte-identical for any worker count).  Cancelling ctx returns an error
+// matching errs.ErrCanceled.
 //
 //ips:blocking
 func InstanceProfile(ctx context.Context, ins []ts.Instance, L int, opt mp.Options) (*mp.Profile, ts.Series, error) {
@@ -199,8 +199,8 @@ type job struct {
 
 // GenerateSpan runs Algorithm 1 and returns the candidate pool Φ.  The
 // sampling is sequential and seeded; the per-sample instance-profile
-// computations fan out over cfg.Workers goroutines, producing an identical
-// pool for any worker count.
+// computations fan out over cfg.Workers workers of the shared pool
+// (par.Run), producing an identical pool for any worker count.
 //
 // Sub-spans for per-class sampling and the profile fan-out, per-length and
 // per-class candidate counters, worker-utilisation gauges, and streamed
@@ -209,8 +209,8 @@ type job struct {
 //
 // Cancellation is cooperative at instance-profile-job granularity (and,
 // inside each job, at the STOMP kernel's tile granularity): once ctx is
-// done the fan-out drains its remaining jobs without computing them and
-// GenerateSpan returns a nil pool with an error matching errs.ErrCanceled.
+// done the pool deals no more jobs and GenerateSpan returns a nil pool with
+// an error matching errs.ErrCanceled.
 //
 //ips:blocking
 func GenerateSpan(ctx context.Context, d *ts.Dataset, cfg Config, sp *obs.Span) (*Pool, error) {
@@ -254,7 +254,7 @@ func GenerateSpan(ctx context.Context, d *ts.Dataset, cfg Config, sp *obs.Span) 
 
 	// Phase 2 (parallel): compute the instance profile of each job and
 	// extract its motif and discord into a per-job slot.  The fan-out is
-	// two-level: jobs spread across cfg.Workers goroutines, and when there
+	// two-level: jobs spread across cfg.Workers pool workers, and when there
 	// are fewer jobs than workers the spare parallelism moves down into the
 	// STOMP kernel itself (diagonal tiles), so a handful of large profiles
 	// still saturates the machine.  Either way the pool is identical: the
@@ -301,47 +301,23 @@ func GenerateSpan(ctx context.Context, d *ts.Dataset, cfg Config, sp *obs.Span) 
 			})
 		}
 	}
+	// Worker utilisation: jobs handled per worker.  The split is
+	// scheduler-dependent, so it is published only as gauges (which
+	// manifests normalise), never as a span attribute.
+	perWorker := make([]int64, max(cfg.Workers, 1))
 	if cfg.Workers > 1 {
 		psp.SetInt("workers", int64(cfg.Workers))
-		perWorker := make([]int64, cfg.Workers)
-		var wg sync.WaitGroup
-		ch := make(chan int)
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for ji := range ch {
-					if ctx.Err() != nil {
-						continue // drain without working so the producer never blocks
-					}
-					run(ji)
-					perWorker[w]++
-					psp.Progress(int(done.Add(1)), len(jobs))
-				}
-			}(w)
-		}
-		for ji := range jobs {
-			ch <- ji
-		}
-		close(ch)
-		wg.Wait()
-		// Worker utilisation: jobs handled per goroutine.  With a shared
-		// unbuffered channel this stays near-uniform unless one profile
-		// dominates.  The split is scheduler-dependent, so it is published
-		// only as gauges (which manifests normalise), never as a span
-		// attribute.
-		if m := sp.Metrics(); m != nil {
-			for w, n := range perWorker {
-				m.Gauge(fmt.Sprintf("ip.worker_jobs.w%d", w)).Set(float64(n))
-			}
-		}
-	} else {
-		for ji := range jobs {
-			if ctx.Err() != nil {
-				break
-			}
+	}
+	par.Run(ctx, cfg.Workers, len(jobs), func(w int, next func() (int, bool)) {
+		for ji, ok := next(); ok; ji, ok = next() {
 			run(ji)
+			perWorker[w]++
 			psp.Progress(int(done.Add(1)), len(jobs))
+		}
+	})
+	if m := sp.Metrics(); m != nil && cfg.Workers > 1 {
+		for w, n := range perWorker {
+			m.Gauge(fmt.Sprintf("ip.worker_jobs.w%d", w)).Set(float64(n))
 		}
 	}
 	psp.End()

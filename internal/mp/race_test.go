@@ -10,8 +10,8 @@ import (
 // TestConcurrentJoinsSharedArena runs several parallel self- and AB-joins
 // at once, all drawing partial-profile buffers from the shared package
 // arena.  Under `go test -race` (the CI configuration) this gives the race
-// detector the full surface to bite on: concurrent arena Get/Put, the tile
-// channel, and the per-worker span plumbing.  Every concurrent result must
+// detector the full surface to bite on: concurrent arena Get/Put and the
+// pool dealing tiles to each join's workers.  Every concurrent result must
 // stay byte-identical to the sequential reference — corruption from a
 // recycled buffer would show up as a profile diff even when the scheduler
 // happens to hide the race itself.

@@ -3,15 +3,15 @@ package mp
 import (
 	"context"
 	"math"
-	"sync"
 
 	"ips/internal/errs"
 	"ips/internal/obs"
+	"ips/internal/par"
 	"ips/internal/ts"
 )
 
-// Options configures a join kernel invocation.  The zero value reproduces
-// the historical sequential behaviour.
+// Options configures a join kernel invocation.  The zero value is a
+// sequential join.
 type Options struct {
 	// Workers is the number of goroutines walking diagonal tiles (<=1 means
 	// sequential).  The kernel is worker-count invariant: the profile is
@@ -20,9 +20,6 @@ type Options struct {
 	// distance is bitwise reproducible) and the partial profiles are merged
 	// under the total order (distance, neighbour index).
 	Workers int
-	// Span, when non-nil, receives a child span per join with size/tile
-	// attributes and one sub-span per worker (see internal/obs).
-	Span *obs.Span
 }
 
 // rollDot advances a diagonal dot product one cell: the window pair
@@ -85,56 +82,26 @@ func clampWorkers(workers, ndiags int) int {
 	return workers
 }
 
-// runTiles drains the tile set with workers goroutines, each accumulating
-// into its own partial profile from the shared arena, and returns the
-// partials for merging.  walk must be safe to call concurrently for
-// distinct partials; tiles are handed out dynamically, which is safe
-// because the merge order (not the schedule) defines the result.
+// runTiles deals the tiles to workers through the shared pool (par.Run),
+// each worker accumulating into its own partial profile from the shared
+// arena, and returns the partials for merging.  walk must be safe to call
+// concurrently for distinct partials; tiles are dealt dynamically, which is
+// safe because the merge order (not the schedule) defines the result.
 //
-// Cancellation is cooperative at tile granularity: once ctx is done the
-// workers keep draining the channel (so the producer never blocks on an
-// abandoned send) but skip the walks, bounding cancellation latency to one
-// in-flight tile per worker.  The caller must check ctx after runTiles and
-// discard the (incomplete) partials on cancellation.
-func runTiles(ctx context.Context, workers int, tiles []tile, n int, sp *obs.Span, walk func(pt *partial, tl tile)) []*partial {
+// Cancellation is cooperative at tile granularity: once ctx is done the pool
+// deals no more tiles, bounding cancellation latency to one in-flight tile
+// per worker.  The caller must check ctx after runTiles and discard the
+// (incomplete) partials on cancellation.
+func runTiles(ctx context.Context, workers int, tiles []tile, n int, walk func(pt *partial, tl tile)) []*partial {
 	parts := make([]*partial, workers)
-	if workers <= 1 {
-		pt := getPartial(n)
-		for _, tl := range tiles {
-			if ctx.Err() != nil {
-				break
-			}
-			walk(pt, tl)
-		}
-		parts[0] = pt
-		return parts
-	}
-	ch := make(chan tile)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
+	for wi := range parts {
 		parts[wi] = getPartial(n)
-		wg.Add(1)
-		go func(wi int, pt *partial) {
-			defer wg.Done()
-			wsp := sp.Child("worker")
-			defer wsp.End()
-			ntiles := 0
-			for tl := range ch {
-				if ctx.Err() != nil {
-					continue // drain without working
-				}
-				walk(pt, tl)
-				ntiles++
-			}
-			wsp.SetInt("worker", int64(wi))
-			wsp.SetInt("tiles", int64(ntiles))
-		}(wi, parts[wi])
 	}
-	for _, tl := range tiles {
-		ch <- tl
-	}
-	close(ch)
-	wg.Wait()
+	par.Run(ctx, workers, len(tiles), func(w int, next func() (int, bool)) {
+		for ti, ok := next(); ok; ti, ok = next() {
+			walk(parts[w], tiles[ti])
+		}
+	})
 	return parts
 }
 
@@ -219,11 +186,6 @@ func SelfJoinCtx(ctx context.Context, t []float64, w int, valid []bool, opt Opti
 	if n <= 0 || w <= 0 {
 		return &Profile{W: w}, nil
 	}
-	sp := opt.Span.Child("mp.selfjoin")
-	defer sp.End()
-	sp.SetInt("n", int64(n))
-	sp.SetInt("w", int64(w))
-
 	p := &Profile{P: make([]float64, n), I: make([]int, n), W: w}
 	excl := w / 2
 	if excl < 1 {
@@ -241,14 +203,12 @@ func SelfJoinCtx(ctx context.Context, t []float64, w int, valid []bool, opt Opti
 
 	workers := clampWorkers(opt.Workers, n-lo)
 	tiles := cutTiles(lo, n, workers, tilesPerWorker(workers, diagCells(lo, n)), func(k int) int { return n - k })
-	sp.SetInt("workers", int64(workers))
-	sp.SetInt("tiles", int64(len(tiles)))
 	obs.Log(ctx).Debug("stomp self-join", "op", "mp.selfjoin",
 		"n", n, "w", w, "workers", workers, "tiles", len(tiles))
 
 	wk := &selfJoinWalker{t: t, w: w, n: n, valid: valid, means: means, stds: stds,
 		floors: float64(w)*maxAbs*maxAbs < 0x1p1000}
-	parts := runTiles(ctx, workers, tiles, n, sp, wk.walk)
+	parts := runTiles(ctx, workers, tiles, n, wk.walk)
 	return finishTiles(ctx, parts, p, "mp.selfjoin")
 }
 
@@ -480,12 +440,6 @@ func ABJoinCtx(ctx context.Context, a, b []float64, w int, validA, validB []bool
 	if na <= 0 || nb <= 0 || w <= 0 {
 		return &Profile{W: w}, nil
 	}
-	sp := opt.Span.Child("mp.abjoin")
-	defer sp.End()
-	sp.SetInt("na", int64(na))
-	sp.SetInt("nb", int64(nb))
-	sp.SetInt("w", int64(w))
-
 	meansA, stdsA := ts.MovingMeanStd(a, w)
 	meansB, stdsB := ts.MovingMeanStd(b, w)
 	ab := ts.SlidingDots(a[:w], b) // ab[k]  = dot(a[0:w], b[k:k+w]), diagonals k >= 0
@@ -502,12 +456,10 @@ func ABJoinCtx(ctx context.Context, a, b []float64, w int, validA, validB []bool
 	workers := clampWorkers(opt.Workers, nd)
 	// Every cross-matrix cell lies on exactly one diagonal: na·nb total.
 	tiles := cutTiles(0, nd, workers, tilesPerWorker(workers, na*nb), wk.diagLen)
-	sp.SetInt("workers", int64(workers))
-	sp.SetInt("tiles", int64(len(tiles)))
 	obs.Log(ctx).Debug("stomp ab-join", "op", "mp.abjoin",
 		"na", na, "nb", nb, "w", w, "workers", workers, "tiles", len(tiles))
 
-	parts := runTiles(ctx, workers, tiles, na, sp, wk.walk)
+	parts := runTiles(ctx, workers, tiles, na, wk.walk)
 	return finishTiles(ctx, parts, p, "mp.abjoin")
 }
 

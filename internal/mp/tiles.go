@@ -1,11 +1,11 @@
 package mp
 
 // Tile sizing.  A fixed tiles-per-worker count over-cuts small joins
-// (channel traffic dominates) and under-cuts large ones (a single slow tile
-// serialises the tail).  Instead each tile covers roughly cellsPerTile
-// matrix cells, so tiles-per-worker grows with the join until the clamp:
-// enough slack for the dynamic scheduler to absorb uneven diagonals without
-// shrinking tiles into scheduling noise.  The rule is a pure function of the
+// (dealing and context checks dominate) and under-cuts large ones (a single
+// slow tile serialises the tail).  Instead each tile covers roughly
+// cellsPerTile matrix cells, so tiles-per-worker grows with the join until
+// the clamp: enough slack for the dynamic scheduler to absorb uneven
+// diagonals without shrinking tiles into scheduling noise.  The rule is a pure function of the
 // join shape, so a given join tiles identically on every run.
 //
 // Tiling is pure scheduling: every cell distance is bitwise reproducible and
@@ -15,12 +15,13 @@ const (
 	// cellsPerTile is the walk one tile should cost: about 65µs at the
 	// 4ns/cell the four-lane STOMP walk measures on a 2-CPU x86-64 host
 	// (BenchmarkSelfJoin N=16384, w=64, one worker, best of three).  Large
-	// enough that handing a tile over a channel is noise, small enough that
-	// the scheduler can rebalance a slow worker several times per join.
+	// enough that dealing a tile from the pool (an atomic add and a context
+	// check, see par.Run) is noise, small enough that the scheduler can
+	// rebalance a slow worker several times per join.
 	cellsPerTile = 1 << 14
 	// minTilesPerWorker/maxTilesPerWorker clamp the rule: at least two
 	// tiles per worker so dynamic scheduling has something to rebalance, at
-	// most 32 so tiny tiles never dominate with channel traffic.
+	// most 32 so tiny tiles never drown the walk in per-tile dealing.
 	minTilesPerWorker = 2
 	maxTilesPerWorker = 32
 )

@@ -21,7 +21,7 @@ type version struct {
 	id     int64
 	source string
 	model  *core.Model
-	// batch is the version's shapelet queries grouped by length and prepared
+	// batch is the version's shapelet queries, their energies computed
 	// exactly once.  Every request served by this version evaluates against
 	// it with a token-owned dist.Scratch, so the steady-state classify path
 	// allocates nothing and retains nothing per request.

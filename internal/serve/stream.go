@@ -148,6 +148,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
+	// Close's hard stop cancels the request too, as on the eval routes.
+	stop := context.AfterFunc(s.base, cancel)
+	defer stop()
 
 	if id := r.URL.Query().Get("session"); id != "" {
 		status = s.streamAppend(ctx, w, r, id)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,9 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"ips/internal/classify"
 	"ips/internal/faulty"
 	"ips/internal/obs"
 	"ips/internal/stream"
+	"ips/internal/ts"
 )
 
 // streamChunk marshals one {"points": [...]} body.
@@ -407,5 +411,125 @@ func TestStreamGoldenError(t *testing.T) {
 	golden := `{"error":"ips: serve: serve.stream [session s-404]: bad input: model not found: \"session s-404\"","class":"bad-input","stage":"serve","op":"serve.stream","status":404}` + "\n"
 	if string(raw) != golden {
 		t.Fatalf("error body:\n got %s\nwant %s", raw, golden)
+	}
+}
+
+// TestStreamCloseHardStop: Close's hard stop reaches a stream append in
+// flight, as TestCloseHardStop shows it reaching the eval routes.  A
+// 6,000-point append to a 400-shapelet model holds its session when Close
+// runs with an expired context; the append answers 499 canceled instead of
+// finishing.  The session stays consistent: its points went in whole or not
+// at all, and an append of no points resumes the evaluation to the profile
+// and features of a stream fed the same points uninterrupted.
+func TestStreamCloseHardStop(t *testing.T) {
+	m, _ := testModel(t)
+	const shapelets = 400
+	rng := rand.New(rand.NewSource(5))
+	slow := *m
+	slow.Shapelets = make([]classify.Shapelet, shapelets)
+	for i := range slow.Shapelets {
+		v := make(ts.Series, 100+i)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		slow.Shapelets[i] = classify.Shapelet{Values: v}
+	}
+	std := make([]float64, shapelets)
+	for i := range std {
+		std[i] = 1
+	}
+	slow.Scaler = &classify.Scaler{Mean: make([]float64, shapelets), Std: std}
+	slow.SVM = &classify.SVM{Classes: []int{0, 1},
+		W: [][]float64{make([]float64, shapelets), make([]float64, shapelets)}, B: make([]float64, 2)}
+	points := make([]float64, 6000)
+	for j := range points {
+		points[j] = rng.NormFloat64()
+	}
+	body := streamChunk(t, points)
+
+	s := NewServer(context.Background(), Config{Obs: obs.New("stream-hard-stop")})
+	if _, err := s.Register(context.Background(), "slow", "test", &slow); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	resp, sr, raw := doStream(t, http.MethodPost, hs.URL+"/v1/stream?model=slow", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("create: status %d body %s", resp.StatusCode, raw)
+	}
+	ses, ok := s.streams.lookup(sr.Session)
+	if !ok {
+		t.Fatalf("session %q not registered", sr.Session)
+	}
+
+	type answer struct {
+		status int
+		body   []byte
+	}
+	done := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(hs.URL+"/v1/stream?session="+sr.Session, "application/json", bytes.NewReader(body))
+		if err != nil {
+			done <- answer{body: []byte(err.Error())}
+			return
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		done <- answer{status: resp.StatusCode, body: out}
+	}()
+	waitFor(t, "the append to hold its session", func() bool {
+		if ses.mu.TryLock() {
+			ses.mu.Unlock()
+			return false
+		}
+		return true
+	})
+
+	// Close waits for no stream request, so it may return nil before its
+	// deferred hard stop; either way the base context is cancelled.
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	if err := s.Close(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Close with an expired context = %v", err)
+	}
+	a := <-done
+	var er errorResponse
+	if err := json.Unmarshal(a.body, &er); err != nil {
+		t.Fatalf("append: status %d, body %s is not a JSON error", a.status, a.body)
+	}
+	// The cancel lands in the batch engine's per-query check, unless the
+	// append had only just taken the lock and meets its own entry check.
+	if a.status != StatusClientClosedRequest || er.Class != "canceled" || er.Op != "dist.batch" && er.Op != "stream.append" {
+		t.Fatalf("append: status %d class %q op %q, want %d canceled from dist.batch (body %s)",
+			a.status, er.Class, er.Op, StatusClientClosedRequest, a.body)
+	}
+
+	ses.mu.Lock()
+	defer ses.mu.Unlock()
+	n := ses.st.N()
+	if n != 0 && n != len(points) {
+		t.Fatalf("cancelled append left %d of %d points", n, len(points))
+	}
+	if _, err := ses.st.Append(context.Background(), nil); err != nil {
+		t.Fatalf("resume append: %v", err)
+	}
+	ref, err := stream.New(stream.Config{Window: 100, Shapelets: slow.Shapelets, Scaler: slow.Scaler, SVM: slow.SVM})
+	if err != nil {
+		t.Fatalf("reference stream: %v", err)
+	}
+	if _, err := ref.Append(context.Background(), points[:n]); err != nil {
+		t.Fatalf("reference append: %v", err)
+	}
+	got, want := ses.st.Features(), ref.Features()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("feature %d after resume = %v, want %v", i, got[i], want[i])
+		}
+	}
+	gp, wp := ses.st.Profile(), ref.Profile()
+	for i := range wp.P {
+		if math.Float64bits(gp.P[i]) != math.Float64bits(wp.P[i]) || gp.I[i] != wp.I[i] {
+			t.Fatalf("profile %d after resume = (%v, %d), want (%v, %d)", i, gp.P[i], gp.I[i], wp.P[i], wp.I[i])
+		}
 	}
 }

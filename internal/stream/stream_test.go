@@ -149,7 +149,7 @@ func TestStreamPredictionMatchesBatch(t *testing.T) {
 
 // countdownCtx cancels itself after its Err method has been consulted n
 // times, landing the cancellation at an arbitrary internal checkpoint of
-// Append — ingest boundaries, batch-evaluation group boundaries — without
+// Append — ingest boundaries, the batch evaluation's per-query checks — without
 // depending on timing.
 type countdownCtx struct {
 	context.Context
