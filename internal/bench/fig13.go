@@ -3,8 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math"
-	"strings"
 	"time"
 
 	"ips/internal/baselines"
@@ -83,35 +81,13 @@ func (h *Harness) Fig13(ctx context.Context) (*Fig13Result, error) {
 	w := h.out()
 	fmt.Fprintf(w, "Fig. 13 — interpretability case study on %s\n", name)
 	for class := 0; class < 2; class++ {
-		fmt.Fprintf(w, "class %d mean:      %s\n", class, sparkline(res.ClassMeans[class]))
+		fmt.Fprintf(w, "class %d mean:      %s\n", class, ts.Spark(res.ClassMeans[class]))
 	}
 	fmt.Fprintf(w, "IPS shapelet (class %d, len %d):      %s\n",
-		res.IPSShapelet.Class, len(res.IPSShapelet.Values), sparkline(res.IPSShapelet.Values))
+		res.IPSShapelet.Class, len(res.IPSShapelet.Values), ts.Spark(res.IPSShapelet.Values))
 	fmt.Fprintf(w, "BSPCOVER shapelet (class %d, len %d): %s\n",
-		res.BSPShapelet.Class, len(res.BSPShapelet.Values), sparkline(res.BSPShapelet.Values))
+		res.BSPShapelet.Class, len(res.BSPShapelet.Values), ts.Spark(res.BSPShapelet.Values))
 	fmt.Fprintf(w, "discovery time: IPS %.3fs vs BSPCOVER %.3fs (%.1fx faster; paper: 4x)\n",
 		res.IPSRuntime.Seconds(), res.BSPRuntime.Seconds(), res.SpeedupIPS)
 	return res, nil
-}
-
-// sparkline renders a series as a Unicode bar sparkline.
-func sparkline(s ts.Series) string {
-	if len(s) == 0 {
-		return ""
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range s {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if hi <= lo {
-		return strings.Repeat(string(levels[0]), len(s))
-	}
-	var sb strings.Builder
-	for _, v := range s {
-		idx := int((v - lo) / (hi - lo) * float64(len(levels)-1))
-		sb.WriteRune(levels[idx])
-	}
-	return sb.String()
 }
