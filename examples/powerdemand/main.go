@@ -46,7 +46,7 @@ func main() {
 	means := classMeans(train)
 	labels := map[int]string{0: "summer", 1: "winter"}
 	for class := 0; class < 2; class++ {
-		fmt.Printf("%-6s mean profile: %s\n", labels[class], spark(means[class]))
+		fmt.Printf("%-6s mean profile: %s\n", labels[class], ips.Spark(means[class]))
 	}
 	fmt.Println()
 
@@ -58,9 +58,9 @@ func main() {
 		}
 		at := bestAlignment(s.Values, means[class])
 		marker := strings.Repeat(" ", at) + strings.Repeat("^", len(s.Values))
-		fmt.Printf("%-6s shapelet (len %d): %s\n", labels[class], len(s.Values), spark(s.Values))
+		fmt.Printf("%-6s shapelet (len %d): %s\n", labels[class], len(s.Values), ips.Spark(s.Values))
 		fmt.Printf("  aligns on the %s mean at hour %d:\n", labels[class], at)
-		fmt.Printf("    %s\n    %s\n", spark(means[class]), marker)
+		fmt.Printf("    %s\n    %s\n", ips.Spark(means[class]), marker)
 	}
 	fmt.Println("\nBoth shapelets land on the early-day window where the two")
 	fmt.Println("seasonal profiles diverge — the morning demand difference the")
@@ -117,21 +117,4 @@ func bestAlignment(shapelet, series ips.Series) int {
 		}
 	}
 	return bestAt
-}
-
-func spark(s ips.Series) string {
-	levels := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range s {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if hi <= lo {
-		return strings.Repeat(string(levels[0]), len(s))
-	}
-	var sb strings.Builder
-	for _, v := range s {
-		sb.WriteRune(levels[int((v-lo)/(hi-lo)*float64(len(levels)-1))])
-	}
-	return sb.String()
 }

@@ -23,10 +23,7 @@ type gate struct {
 	tokens chan *execScratch
 
 	mu      sync.Mutex
-	waiting int  // admitted requests that do not hold a token yet
-	closed  bool // set by close: admission answers 503
-	// wg counts admitted requests until they return; Close waits on it.
-	wg sync.WaitGroup
+	waiting int // admitted requests that do not hold a token yet
 
 	// Metric handles are resolved once at construction (nil-safe no-ops when
 	// observability is off) so the eval path never touches the registry map.
@@ -83,7 +80,6 @@ func (g *gate) eval(ctx context.Context, instances []ts.Series, preds []int, row
 	if err := g.admit(); err != nil {
 		return 0, err
 	}
-	defer g.wg.Done()
 	es, err := g.acquire(ctx)
 	if err != nil {
 		return 0, err
@@ -115,16 +111,12 @@ func (g *gate) eval(ctx context.Context, instances []ts.Series, preds []int, row
 func (g *gate) admit() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.closed {
-		return errs.Unavailable(errs.StageServe, "serve.admit", g.slot.name, "server is shutting down")
-	}
 	if g.waiting >= g.srv.cfg.QueueDepth {
 		g.cntRejected.Inc()
 		return errs.Overload(errs.StageServe, "serve.admit", g.slot.name,
 			"queue full (%d waiting)", g.waiting)
 	}
 	g.waiting++
-	g.wg.Add(1)
 	g.cntAccepted.Inc()
 	return nil
 }
@@ -150,14 +142,6 @@ func (g *gate) acquire(ctx context.Context) (*execScratch, error) {
 		return nil, errs.Canceled(errs.StageServe, "serve.queue", g.slot.name, err)
 	}
 	return es, nil
-}
-
-// close refuses further admission with a typed 503.  Requests already
-// admitted keep their place and finish.
-func (g *gate) close() {
-	g.mu.Lock()
-	g.closed = true
-	g.mu.Unlock()
 }
 
 // evaluate embeds (and, for classify, scores) every instance against v,

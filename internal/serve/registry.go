@@ -243,18 +243,3 @@ func (r *registry) activeCount() int {
 	}
 	return n
 }
-
-// closeGates closes admission on every gate and returns them, in model-name
-// order, for Close to wait on.  Slots are never deleted (retire keeps them
-// for revival), so the gates stay valid after the lock drops.
-func (r *registry) closeGates() []*gate {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	gates := make([]*gate, 0, len(r.slots))
-	for _, sl := range r.slots {
-		sl.gate.close()
-		gates = append(gates, sl.gate)
-	}
-	sort.Slice(gates, func(i, j int) bool { return gates[i].slot.name < gates[j].slot.name })
-	return gates
-}

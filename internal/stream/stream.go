@@ -47,7 +47,8 @@ type DriftConfig struct {
 // whose byte-identity to ts.Dist is what keeps the delta transform exact
 // (see the package doc).
 type Config struct {
-	// Window is the matrix-profile window length (required, >= 1).
+	// Window is the matrix-profile window length (>= 1); 0 means the
+	// shortest shapelet's length.
 	Window int
 	// Shapelets is the model's shapelet set; the feature vector has one
 	// entry per shapelet.  May be empty for profile-only streaming.
@@ -112,6 +113,13 @@ type Stream struct {
 // errs.ErrBadInput, so every later Append failure is about the appended
 // data, not the setup.
 func New(cfg Config) (*Stream, error) {
+	if cfg.Window == 0 {
+		for _, sh := range cfg.Shapelets {
+			if cfg.Window == 0 || len(sh.Values) < cfg.Window {
+				cfg.Window = len(sh.Values)
+			}
+		}
+	}
 	if cfg.Window < 1 {
 		return nil, errs.BadInput(errs.StageStream, "stream.new", "", "window must be >= 1 (got %d)", cfg.Window)
 	}
@@ -155,6 +163,9 @@ func (s *Stream) Reserve(total int) { s.inc.Reserve(total) }
 
 // N returns the total points ingested.
 func (s *Stream) N() int { return s.inc.Len() }
+
+// Window returns the matrix-profile window length.
+func (s *Stream) Window() int { return s.cfg.Window }
 
 // Windows returns the number of matrix-profile positions.
 func (s *Stream) Windows() int { return s.inc.Windows() }

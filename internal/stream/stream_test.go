@@ -233,6 +233,43 @@ func TestStreamBadInput(t *testing.T) {
 	}
 }
 
+// TestStreamDefaultWindow: Window 0 takes the shortest shapelet's length,
+// and gives the profile and features of a stream configured with it.
+func TestStreamDefaultWindow(t *testing.T) {
+	shapelets := testShapelets(11)
+	series := randSeries(80, 12)
+	var streams [2]*Stream
+	for i, w := range []int{0, 5} { // 5 is testShapelets' shortest length
+		s, err := New(Config{Window: w, Shapelets: shapelets})
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		if _, err := s.Append(context.Background(), series); err != nil {
+			t.Fatalf("window %d: append: %v", w, err)
+		}
+		streams[i] = s
+	}
+	def, ref := streams[0], streams[1]
+	if def.Window() != 5 {
+		t.Fatalf("default window = %d, want 5", def.Window())
+	}
+	gf, wf := def.Features(), ref.Features()
+	for i := range wf {
+		if math.Float64bits(gf[i]) != math.Float64bits(wf[i]) {
+			t.Fatalf("feature %d = %v, want %v", i, gf[i], wf[i])
+		}
+	}
+	gp, wp := def.Profile(), ref.Profile()
+	if len(gp.P) != len(wp.P) {
+		t.Fatalf("profile length %d, want %d", len(gp.P), len(wp.P))
+	}
+	for i := range wp.P {
+		if math.Float64bits(gp.P[i]) != math.Float64bits(wp.P[i]) || gp.I[i] != wp.I[i] {
+			t.Fatalf("profile %d = (%v, %d), want (%v, %d)", i, gp.P[i], gp.I[i], wp.P[i], wp.I[i])
+		}
+	}
+}
+
 // TestStreamMaxPoints pins the per-stream admission cap: an append that
 // would exceed MaxPoints is refused whole as typed ErrOverload.
 func TestStreamMaxPoints(t *testing.T) {

@@ -219,6 +219,10 @@ func CrossValidate(ctx context.Context, d *Dataset, opt Options, folds int, seed
 // unknown name yields an error matching ErrUnknownDataset.
 func LookupDataset(name string) (DatasetMeta, error) { return ucr.Find(name) }
 
+// Spark renders s as a one-line sparkline: one block rune per value, from ▁
+// at its minimum to █ at its maximum.
+func Spark(s Series) string { return ts.Spark(s) }
+
 // NewStream opens a streaming classifier for one series against a trained
 // model: points appended with Stream.Append update an incremental matrix
 // profile (byte-identical to a batch recompute), a shapelet-transform
@@ -231,13 +235,6 @@ func LookupDataset(name string) (DatasetMeta, error) { return ucr.Find(name) }
 func NewStream(m *Model, window int) (*Stream, error) {
 	if m == nil {
 		return nil, errs.BadInput(errs.StageStream, "ips.newstream", "", "model is nil")
-	}
-	if window <= 0 {
-		for _, sh := range m.Shapelets {
-			if window == 0 || len(sh.Values) < window {
-				window = len(sh.Values)
-			}
-		}
 	}
 	return stream.New(stream.Config{
 		Window:    window,
