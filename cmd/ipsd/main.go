@@ -52,7 +52,8 @@
 // On SIGINT/SIGTERM the daemon drains: /healthz flips to 503, new eval
 // requests are refused typed, admitted work completes (bounded by
 // -drain-timeout), then the process exits 0.  The signal only starts the
-// drain; it cancels no request.
+// drain; it cancels no request.  Past the budget, open connections close,
+// admitted work is cancelled and the process exits 1.
 package main
 
 import (
@@ -184,15 +185,19 @@ func run() int {
 	s.StartDrain()
 	shutdownCtx, cancel := context.WithTimeout(obs.WithLogger(context.Background(), logger), *drainTimeout)
 	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
+	err = hs.Shutdown(shutdownCtx)
+	if err != nil {
 		obs.Log(ctx).Warn("listener shutdown incomplete", "err", err.Error())
+		hs.Close() // a client stalled mid-body or not reading must not hold s.Close
 	}
-	if err := s.Close(shutdownCtx); err != nil {
-		obs.Log(ctx).Warn("drain incomplete", "err", err.Error())
-		flight.Stop()
-		return 1
+	if cerr := s.Close(shutdownCtx); cerr != nil {
+		obs.Log(ctx).Warn("drain incomplete", "err", cerr.Error())
+		err = cerr
 	}
 	flight.Stop()
+	if err != nil {
+		return 1
+	}
 	obs.Log(ctx).Info("drained cleanly")
 	return 0
 }
