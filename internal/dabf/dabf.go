@@ -422,14 +422,8 @@ func NaivePrune(ctx context.Context, pool *ip.Pool, cfg Config, sp *obs.Span) (*
 			vs[i] = lsh.Resample(c.Values, cfg.Dim)
 		}
 		resampled[class] = vs
-		var ds []float64
-		for i := 0; i < len(vs); i++ {
-			for j := i + 1; j < len(vs); j++ {
-				ds = append(ds, ts.EuclideanDist(vs[i], vs[j]))
-			}
-		}
-		if len(ds) > 0 {
-			mu, sigma, _ := stats.Moments(ds)
+		if len(vs) >= 2 {
+			mu, sigma := pairMeanStd(vs)
 			radius[class] = mu + theta*sigma
 		}
 	}
@@ -459,4 +453,29 @@ func NaivePrune(ctx context.Context, pool *ip.Pool, cfg Config, sp *obs.Span) (*
 		}
 		return near, -worstClose
 	}, sp)
+}
+
+// pairMeanStd returns the mean and standard deviation of the Euclidean
+// distances between every pair vs[i], vs[j], i < j, with the bits
+// stats.Moments gives over those distances in (i, j) order: one walk sums
+// them, a second sums their squared deviations from the mean.  Walking the
+// pairs twice costs a second distance per pair but holds none of the
+// |vs|²/2 distances a materialised slice would.
+func pairMeanStd(vs [][]float64) (mean, std float64) {
+	n := 0
+	for i := range vs {
+		for j := i + 1; j < len(vs); j++ {
+			mean += ts.EuclideanDist(vs[i], vs[j])
+			n++
+		}
+	}
+	mean /= float64(n)
+	var m2 float64
+	for i := range vs {
+		for j := i + 1; j < len(vs); j++ {
+			d := ts.EuclideanDist(vs[i], vs[j]) - mean
+			m2 += d * d
+		}
+	}
+	return mean, math.Sqrt(m2 / float64(n))
 }

@@ -2,12 +2,15 @@ package dabf
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"ips/internal/ip"
+	"ips/internal/lsh"
 	"ips/internal/obs"
+	"ips/internal/stats"
 	"ips/internal/ts"
 	"ips/internal/ucr"
 )
@@ -150,6 +153,47 @@ func TestPrunePathsPublishSameTelemetry(t *testing.T) {
 		}
 		if !reflect.DeepEqual(keys[0], keys[1]) {
 			t.Errorf("%s: span attributes differ between paths: %v vs %v", name, keys[0], keys[1])
+		}
+	}
+}
+
+// TestPairMeanStdMatchesMoments pins NaivePrune's closeness radius to what
+// it was when the pairwise distances were materialised: pairMeanStd's mean
+// and std are bit-equal to stats.Moments over the slice of every
+// intra-class distance in (i, j) order, for each class of several
+// datasets' candidate pools and for the two- and three-candidate classes.
+func TestPairMeanStdMatchesMoments(t *testing.T) {
+	ctx := context.Background()
+	var classes [][][]float64
+	for _, name := range []string{"ItalyPowerDemand", "GunPoint", "ArrowHead", "TwoLeadECG"} {
+		train, _, err := ucr.GenerateByName(name, ucr.GenConfig{MaxTrain: 30, MaxLength: 160, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := ip.GenerateSpan(ctx, train, ip.Config{Seed: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, class := range pool.Classes() {
+			cands := pool.ByClass[class]
+			vs := make([][]float64, len(cands))
+			for i, c := range cands {
+				vs[i] = lsh.Resample(c.Values, Config{}.Defaults().Dim)
+			}
+			classes = append(classes, vs, vs[:2], vs[:3])
+		}
+	}
+	for k, vs := range classes {
+		var ds []float64
+		for i := range vs {
+			for j := i + 1; j < len(vs); j++ {
+				ds = append(ds, ts.EuclideanDist(vs[i], vs[j]))
+			}
+		}
+		wantMean, wantStd, _ := stats.Moments(ds)
+		mean, std := pairMeanStd(vs)
+		if math.Float64bits(mean) != math.Float64bits(wantMean) || math.Float64bits(std) != math.Float64bits(wantStd) {
+			t.Fatalf("class %d (%d candidates): pairMeanStd = (%v, %v), stats.Moments = (%v, %v)", k, len(vs), mean, std, wantMean, wantStd)
 		}
 	}
 }

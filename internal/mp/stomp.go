@@ -273,6 +273,13 @@ const corrMargin = 0x1p-46
 // skipping it leaves the partial as the per-cell walk leaves it.  At or
 // below −1 the floor is −Inf instead, so a cell whose quotient clamps to −1,
 // a 4w tie, always reaches the exact step.
+//
+// The STOMPI append (Incremental.appendPoint) rules a cell out against two
+// floors: its old window's, from that window's profile entry, and the new
+// window's, from the best distance its row has found so far.  Both of the
+// append's comparisons are a strict `<`, because the new window's index is
+// the largest in play, so a cell strictly greater than both distances
+// changes neither, and the test needs no tie clause there.
 func corrFloor(d float64, w int) float64 {
 	c := 1 - d/float64(2*w) - corrMargin
 	if c <= -1 {
