@@ -23,8 +23,8 @@
 //
 // Flags:
 //
-//	-quick       cap dataset sizes for a CI-scale run (default true)
-//	-full        full-scale run (overrides -quick)
+//	-full        full-scale run; without it, dataset sizes are capped for a
+//	             CI-scale run
 //	-data DIR    load real UCR TSV files from DIR instead of generating
 //	-seed N      random seed (default 1)
 //	-k N         shapelets per class (default 5)
@@ -64,8 +64,7 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", true, "cap dataset sizes for a CI-scale run")
-	full := flag.Bool("full", false, "full-scale run (overrides -quick)")
+	full := flag.Bool("full", false, "full-scale run (default: dataset sizes capped for a CI-scale run)")
 	data := flag.String("data", "", "directory with real UCR TSV files")
 	seed := flag.Int64("seed", 1, "random seed")
 	k := flag.Int("k", 5, "shapelets per class")
@@ -93,7 +92,7 @@ func main() {
 	}
 
 	h := &bench.Harness{
-		Quick:   *quick && !*full,
+		Quick:   !*full,
 		DataDir: *data,
 		Seed:    *seed,
 		K:       *k,
@@ -175,7 +174,7 @@ func main() {
 			Tool: "ipsbench", Seed: *seed,
 			Config: map[string]any{
 				"experiments": strings.Join(names, ","),
-				"quick":       *quick && !*full, "k": *k, "runs": *runs,
+				"full":        *full, "k": *k, "runs": *runs,
 				"workers": *workers,
 			},
 			Err: runErr, Flight: flight,

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"context"
 	"go/ast"
 	"go/types"
 	"runtime"
-	"sync"
+
+	"ips/internal/par"
 )
 
 // unit is one type-checked lint unit: a package directory's lint view
@@ -16,34 +18,6 @@ type unit struct {
 	files []*ast.File
 	info  *types.Info
 	xtest bool
-}
-
-// runPool runs fn(0..n-1) on a bounded pool and joins before returning.
-// Work items are handed out through a channel so a slow item cannot stall
-// unrelated ones.
-func runPool(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // lintDirs is the full analysis pipeline: preload the module-local import
@@ -63,26 +37,28 @@ func lintDirs(l *loader, dirs []string, enabled []*Analyzer) ([]Finding, error) 
 	// unit and external-test unit, keeping downstream order deterministic.
 	units := make([]*unit, 2*len(dirs))
 	errs := make([]error, len(dirs))
-	runPool(workers, len(dirs), func(i int) {
-		dir := dirs[i]
-		path, err := l.importPathFor(dir)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		pkg, files, info, err := l.check(dir, path, true)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		units[2*i] = &unit{dir: dir, path: path, pkg: pkg, files: files, info: info}
-		xpkg, xfiles, xinfo, err := l.checkExternalTest(dir, path)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if xpkg != nil {
-			units[2*i+1] = &unit{dir: dir, path: path, pkg: xpkg, files: xfiles, info: xinfo, xtest: true}
+	par.Run(context.Background(), workers, len(dirs), func(_ int, next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			dir := dirs[i]
+			path, err := l.importPathFor(dir)
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			pkg, files, info, err := l.check(dir, path, true)
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			units[2*i] = &unit{dir: dir, path: path, pkg: pkg, files: files, info: info}
+			xpkg, xfiles, xinfo, err := l.checkExternalTest(dir, path)
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			if xpkg != nil {
+				units[2*i+1] = &unit{dir: dir, path: path, pkg: xpkg, files: xfiles, info: xinfo, xtest: true}
+			}
 		}
 	})
 	for _, err := range errs {
@@ -100,9 +76,11 @@ func lintDirs(l *loader, dirs []string, enabled []*Analyzer) ([]Finding, error) 
 	// Per-package analysis, one unit per work item, findings merged in unit
 	// order.
 	perUnit := make([][]Finding, len(flat))
-	runPool(workers, len(flat), func(i int) {
-		u := flat[i]
-		perUnit[i] = runAnalyzers(l.fset, u.files, u.pkg, u.info, enabled)
+	par.Run(context.Background(), workers, len(flat), func(_ int, next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			u := flat[i]
+			perUnit[i] = runAnalyzers(l.fset, u.files, u.pkg, u.info, enabled)
+		}
 	})
 	var findings []Finding
 	for _, fs := range perUnit {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -13,6 +14,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"ips/internal/par"
 )
 
 // loader parses and type-checks module packages with nothing but the
@@ -234,8 +237,10 @@ func (l *loader) preload(dirs []string, workers int) error {
 			return fmt.Errorf("import cycle among %s", strings.Join(rest, ", "))
 		}
 		errs := make([]error, len(wave))
-		runPool(workers, len(wave), func(i int) {
-			_, errs[i] = l.ImportFrom(wave[i], l.modRoot, 0)
+		par.Run(context.Background(), workers, len(wave), func(_ int, next func() (int, bool)) {
+			for i, ok := next(); ok; i, ok = next() {
+				_, errs[i] = l.ImportFrom(wave[i], l.modRoot, 0)
+			}
 		})
 		for i, err := range errs {
 			if err != nil {

@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"sort"
 
-	"ips/internal/dabf"
-	"ips/internal/ip"
+	"ips/internal/core"
 )
 
 // Table3Row holds one dataset's best-fit distribution result.
@@ -40,37 +39,26 @@ func (h *Harness) Table3(ctx context.Context) ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := h.ipsOptions()
-		dsp := h.Obs.Root().Child("table3." + name)
-		gsp := dsp.Child("candidate-gen")
-		pool, err := ip.GenerateSpan(ctx, train, cfg.IP, gsp)
-		gsp.End()
-		if err != nil {
-			dsp.End()
-			return nil, err
-		}
-		bsp := dsp.Child("dabf-build")
-		d, err := dabf.BuildSpan(ctx, pool, cfg.DABF, bsp)
-		bsp.End()
-		dsp.End()
+		res, err := core.Discover(ctx, train, h.ipsOptions())
 		if err != nil {
 			return nil, err
 		}
+		fits := res.DABF.PerClass
 		// Average the fit errors in class order: float addition is not
 		// associative, so map order would change the mean's low bits.
-		classes := make([]int, 0, len(d.PerClass))
-		for c := range d.PerClass {
+		classes := make([]int, 0, len(fits))
+		for c := range fits {
 			classes = append(classes, c)
 		}
 		sort.Ints(classes)
 		votes := map[string]int{}
 		var nmse float64
 		for _, c := range classes {
-			cf := d.PerClass[c]
+			cf := fits[c]
 			votes[cf.Dist.Name()]++
 			nmse += cf.FitNMSE
 		}
-		nmse /= float64(len(d.PerClass))
+		nmse /= float64(len(fits))
 		best, bestN := "", -1
 		for fit, n := range votes {
 			if n > bestN || (n == bestN && fit < best) {

@@ -53,56 +53,80 @@ func TestDiscoverDeterministicUnderInstrumentation(t *testing.T) {
 }
 
 // TestTimingsAreSpanViews checks that Result.Timings is the span tree seen
-// through the legacy struct: every stage duration equals its span's
-// duration, and Fit fills the Transform/Train extension.
+// through the legacy struct, under the default configuration and the two
+// ablations the benches time: every stage duration equals its span's
+// duration, the discover span names the dataset and which of the DABF, DT
+// and CR ran, and Fit fills the Transform/Train extension.
 func TestTimingsAreSpanViews(t *testing.T) {
 	train := plantedDataset(8, 60, 2, 3)
-	o := obs.New("test")
-	opt := smallOptions(3)
-	opt.Obs = o
-	model, err := Fit(context.Background(), train, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := model.Discovery.Timings
-
-	dsp := o.Root().ChildByName("discover")
-	if dsp == nil {
-		t.Fatal("no discover span")
-	}
-	for _, c := range []struct {
-		name string
-		got  int64
+	for _, cfg := range []struct {
+		name                     string
+		noDABF, noDT, noCR       bool
+		wantDABF, wantDT, wantCR bool
 	}{
-		{"candidate-gen", int64(tm.CandidateGen)},
-		{"pruning", int64(tm.Pruning)},
-		{"selection", int64(tm.Selection)},
+		{name: "defaults", wantDABF: true, wantDT: true, wantCR: true},
+		{name: "DisableDABF", noDABF: true, wantCR: true},
+		{name: "DisableDT+DisableCR", noDT: true, noCR: true, wantDABF: true},
 	} {
-		sp := dsp.ChildByName(c.name)
-		if sp == nil {
-			t.Fatalf("no %s span", c.name)
-		}
-		if int64(sp.Duration()) != c.got {
-			t.Fatalf("%s: timing %v != span %v", c.name, c.got, sp.Duration())
-		}
-	}
-	if tm.Transform <= 0 || tm.Train <= 0 {
-		t.Fatalf("Fit did not fill Transform/Train: %+v", tm)
-	}
-	if got := tm.FitTotal(); got != tm.Total()+tm.Transform+tm.Train {
-		t.Fatalf("FitTotal = %v", got)
-	}
-	// The pipeline populated metrics: candidate counters, prune counters,
-	// SVM passes.
-	reg := o.Metrics()
-	if reg.Counter("dabf.prune.examined").Value() == 0 {
-		t.Fatal("dabf.prune.examined not incremented")
-	}
-	if reg.Counter("classify.svm.passes").Value() == 0 {
-		t.Fatal("classify.svm.passes not incremented")
-	}
-	if reg.Counter("classify.transform.dists").Value() == 0 {
-		t.Fatal("classify.transform.dists not incremented")
+		t.Run(cfg.name, func(t *testing.T) {
+			o := obs.New("test")
+			opt := smallOptions(3)
+			opt.DisableDABF, opt.DisableDT, opt.DisableCR = cfg.noDABF, cfg.noDT, cfg.noCR
+			opt.Obs = o
+			model, err := Fit(context.Background(), train, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tm := model.Discovery.Timings
+
+			dsp := o.Root().ChildByName("discover")
+			if dsp == nil {
+				t.Fatal("no discover span")
+			}
+			for _, c := range []struct {
+				name string
+				got  int64
+			}{
+				{"candidate-gen", int64(tm.CandidateGen)},
+				{"pruning", int64(tm.Pruning)},
+				{"selection", int64(tm.Selection)},
+			} {
+				sp := dsp.ChildByName(c.name)
+				if sp == nil {
+					t.Fatalf("no %s span", c.name)
+				}
+				if int64(sp.Duration()) != c.got {
+					t.Fatalf("%s: timing %v != span %v", c.name, c.got, sp.Duration())
+				}
+			}
+			attrs := map[string]any{}
+			for _, a := range dsp.Attrs() {
+				attrs[a.Key] = a.Value
+			}
+			want := map[string]any{"dataset": train.Name,
+				"dabf": cfg.wantDABF, "dt": cfg.wantDT, "cr": cfg.wantCR}
+			if !reflect.DeepEqual(attrs, want) {
+				t.Fatalf("discover attributes %v, want %v", attrs, want)
+			}
+			if tm.Transform <= 0 || tm.Train <= 0 {
+				t.Fatalf("Fit did not fill Transform/Train: %+v", tm)
+			}
+			if got := tm.FitTotal(); got != tm.Total()+tm.Transform+tm.Train {
+				t.Fatalf("FitTotal = %v", got)
+			}
+			// The pipeline populated metrics: candidate counters, prune
+			// counters, SVM passes.
+			reg := o.Metrics()
+			if reg.Counter("dabf.prune.examined").Value() == 0 {
+				t.Fatal("dabf.prune.examined not incremented")
+			}
+			if reg.Counter("classify.svm.passes").Value() == 0 {
+				t.Fatal("classify.svm.passes not incremented")
+			}
+			if reg.Counter("classify.transform.dists").Value() == 0 {
+				t.Fatal("classify.transform.dists not incremented")
+			}
+		})
 	}
 }
 
