@@ -3,8 +3,10 @@ package bench
 import (
 	"bytes"
 	"context"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ips/internal/ts"
 )
@@ -133,7 +135,29 @@ func TestTable5Quick(t *testing.T) {
 		if r.PruneDABF <= 0 || r.PruneNaive <= 0 || r.SelectRaw <= 0 || r.SelectOptimised <= 0 {
 			t.Fatalf("missing step timings: %+v", r)
 		}
+		requirePrintedTimes(t, buf.String(), r.Dataset, r.CandidateGen, r.PruneNaive, r.PruneDABF, r.SelectRaw, r.SelectOptimised)
 	}
+}
+
+// requirePrintedTimes fails when a positive duration prints as zero in
+// dataset's row of a printed table, whose cells after the dataset name are
+// durs in order.
+func requirePrintedTimes(t *testing.T, out, dataset string, durs ...time.Duration) {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		cells := strings.Fields(line)
+		if len(cells) <= len(durs) || cells[0] != dataset {
+			continue
+		}
+		for c, d := range durs {
+			v, err := strconv.ParseFloat(cells[1+c], 64)
+			if err != nil || d > 0 && v == 0 {
+				t.Errorf("%s: column %d prints %v as %q", dataset, 1+c, d, cells[1+c])
+			}
+		}
+		return
+	}
+	t.Fatalf("no %s row in\n%s", dataset, out)
 }
 
 func TestTable6Quick(t *testing.T) {
@@ -197,7 +221,9 @@ func TestFig10Quick(t *testing.T) {
 		if r.WithDABF <= 0 || r.WithoutDAB <= 0 {
 			t.Fatalf("missing prune timings: %+v", r)
 		}
+		requirePrintedTimes(t, buf.String(), r.Dataset, r.WithDABF, r.WithoutDAB)
 	}
+	buf.Reset()
 	rowsBC, err := h.Fig10bc(context.Background(), []string{"ItalyPowerDemand"})
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +231,7 @@ func TestFig10Quick(t *testing.T) {
 	if len(rowsBC) != 1 || rowsBC[0].TimeRaw <= 0 {
 		t.Fatalf("missing selection timings: %+v", rowsBC)
 	}
+	requirePrintedTimes(t, buf.String(), "ItalyPowerDemand", rowsBC[0].TimeDTCR, rowsBC[0].TimeRaw)
 }
 
 func TestFig11OnPublishedMatrix(t *testing.T) {

@@ -64,11 +64,11 @@ func (h *Harness) Fig10a(ctx context.Context, datasets []string) ([]Fig10aRow, e
 		rows = append(rows, Fig10aRow{Dataset: name, WithDABF: tm[0].Pruning, WithoutDAB: tm[1].Pruning})
 	}
 
-	header := []string{"dataset", "with DABF(s)", "without DABF(s)", "speedup"}
+	header := []string{"dataset", "with DABF(ms)", "without DABF(ms)", "speedup"}
 	var cells [][]string
 	for _, r := range rows {
 		cells = append(cells, []string{
-			r.Dataset, secs(r.WithDABF), secs(r.WithoutDAB),
+			r.Dataset, ms(r.WithDABF), ms(r.WithoutDAB),
 			f2(r.WithoutDAB.Seconds() / r.WithDABF.Seconds()),
 		})
 	}
@@ -117,12 +117,12 @@ func (h *Harness) Fig10bc(ctx context.Context, datasets []string) ([]Fig10bcRow,
 		})
 	}
 
-	header := []string{"dataset", "select DT+CR(s)", "select raw(s)", "time saved", "acc DT+CR", "acc raw"}
+	header := []string{"dataset", "select DT+CR(ms)", "select raw(ms)", "time saved", "acc DT+CR", "acc raw"}
 	var cells [][]string
 	for _, r := range rows {
 		saved := 1 - r.TimeDTCR.Seconds()/r.TimeRaw.Seconds()
 		cells = append(cells, []string{
-			r.Dataset, secs(r.TimeDTCR), secs(r.TimeRaw),
+			r.Dataset, ms(r.TimeDTCR), ms(r.TimeRaw),
 			fmt.Sprintf("%.0f%%", 100*saved), f1(r.AccDTCR), f1(r.AccRaw),
 		})
 	}

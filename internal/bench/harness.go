@@ -238,3 +238,10 @@ func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 func secs(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()) }
+
+// ms formats d in milliseconds with three decimals, for the per-stage
+// columns of Table V and Fig. 10: at quick scale a pruning or selection
+// stage takes well under a millisecond, which secs prints as 0.000.
+func ms(d time.Duration) string {
+	return fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond))
+}

@@ -61,13 +61,13 @@ func (h *Harness) Table5(ctx context.Context, datasets []string) ([]Table5Row, e
 		})
 	}
 
-	header := []string{"dataset", "cand. gen(s)", "prune naive(s)", "prune DABF(s)",
-		"select raw(s)", "select DT+CR(s)"}
+	header := []string{"dataset", "cand. gen(ms)", "prune naive(ms)", "prune DABF(ms)",
+		"select raw(ms)", "select DT+CR(ms)"}
 	var cells [][]string
 	for _, r := range rows {
 		cells = append(cells, []string{
-			r.Dataset, secs(r.CandidateGen), secs(r.PruneNaive), secs(r.PruneDABF),
-			secs(r.SelectRaw), secs(r.SelectOptimised),
+			r.Dataset, ms(r.CandidateGen), ms(r.PruneNaive), ms(r.PruneDABF),
+			ms(r.SelectRaw), ms(r.SelectOptimised),
 		})
 	}
 	fmt.Fprintln(h.out(), "Table V — per-step efficiency: pruning with/without DABF, selection with/without DT+CR")

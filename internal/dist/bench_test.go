@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ips/internal/cpu"
 	"ips/internal/ts"
 )
 
@@ -105,7 +106,7 @@ func BenchmarkRollingProfile(b *testing.B) {
 			{"avx", func() float64 { return p.profileAVX(q, qq, prof) }},
 		}
 		for _, pass := range passes {
-			if pass.name == "avx" && !avx {
+			if pass.name == "avx" && !cpu.AVX() {
 				continue
 			}
 			b.Run(fmt.Sprintf("%s/n=%d/m=%d", pass.name, n, m), func(b *testing.B) {

@@ -29,6 +29,7 @@ package dist
 import (
 	"math"
 
+	"ips/internal/cpu"
 	"ips/internal/ts"
 )
 
@@ -153,7 +154,7 @@ func (p *Prepared) eval(q []float64, qq float64, finite bool, s *Scratch, c *Cou
 //ips:hotpath
 func (p *Prepared) approxProfile(q []float64, qq float64, prof []float64, c *Counts) float64 {
 	c.Rolling++
-	if avx && len(prof) >= avxBlock {
+	if cpu.AVX() && len(prof) >= avxBlock {
 		return p.profileAVX(q, qq, prof)
 	}
 	directDots(q, p.t, prof)

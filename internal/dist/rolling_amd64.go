@@ -2,19 +2,11 @@ package dist
 
 import "math"
 
-// avx reports whether the CPU and the OS support AVX, detected once at
-// package init.  Without it the rolling kernel keeps the Go pass.
-var avx = hasAVX()
-
 // avxChunk bounds the multiply-adds of one rollingProfileAVX call.  Assembly
 // is never an async preemption point, so a row of a long served series is cut
 // into calls of about 2¹⁸ multiply-adds (tens of microseconds) and a GC
 // stop-the-world never waits on a whole row.
 const avxChunk = 1 << 18
-
-// hasAVX executes CPUID and XGETBV: AVX and OSXSAVE in CPUID.1:ECX, and the
-// XMM and YMM state enabled in XCR0.
-func hasAVX() bool
 
 // rollingProfileAVX writes the approximate profile of q over len(out) ≥ 16
 // consecutive windows of t into out and returns its minimum, bit-equal to

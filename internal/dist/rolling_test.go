@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"ips/internal/cpu"
 )
 
 // refProfile is the rolling kernel's Go pass (directDots, then
@@ -54,7 +56,7 @@ func levelSeries(rng *rand.Rand, n, levels int) []float64 {
 // zero query, and 1e150-scale values with spikes whose Σt² + Σq² overflows.
 // The output is pre-filled with NaN, so a window the pass never writes fails.
 func TestRollingProfileMatchesGo(t *testing.T) {
-	if !avx {
+	if !cpu.AVX() {
 		t.Log("no AVX on this CPU or GOARCH: the rolling kernel runs the Go pass only")
 		t.Skip()
 	}

@@ -76,3 +76,18 @@ func TestJoinsRejectNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestSelfJoinRejectsMaskLength pins the mask contract of the self-join:
+// one entry per window.  The AVX walk reads the mask without bounds
+// checks, so any other length is a typed bad-input error before the walk.
+func TestSelfJoinRejectsMaskLength(t *testing.T) {
+	series := randomSeries(200, 3)
+	n := len(series) - 16 + 1
+	for _, m := range []int{0, 1, n - 1, n + 1} {
+		p, err := SelfJoinCtx(context.Background(), series, 16, make([]bool, m), Options{Workers: 2})
+		var e *errs.Error
+		if p != nil || !errors.Is(err, errs.ErrBadInput) || !errors.As(err, &e) || e.Op != "mp.selfjoin" {
+			t.Fatalf("mask of %d for %d windows: profile %v, err %v; want no profile and an mp.selfjoin bad-input error", m, n, p != nil, err)
+		}
+	}
+}

@@ -117,6 +117,43 @@ func oracleCases(t *testing.T) []oracleCase {
 	}
 	cases = append(cases, oracleCase{"walk/masked", masked, 16, valid})
 
+	// Joins of exactly four diagonals: one lockstep group and no walkDiag
+	// remainder, at one worker the whole join in one tile.
+	for _, w := range []int{3, 8, 13} {
+		n := max(w/2, 1) + 5
+		cases = append(cases, oracleCase{fmt.Sprintf("four-diagonals/w=%d", w), randomSeries(n+w-1, int64(w)), w, nil})
+	}
+
+	// Lockstep groups longer than one lockstepRowsAVX call.  The first
+	// lockstepRows−1 windows are masked, so each group's first call walks
+	// them without keeping a lane, as far as its row cap.  In the first
+	// group no exact step has raised the floors of windows lockstepRows−1
+	// and lockstepRows yet, so both rows keep lanes: the last row of the
+	// first call and the first row of the second.
+	const capW = 4
+	capped := randomSeries(lockstepRows+40+capW-1, 19)
+	cappedValid := make([]bool, lockstepRows+40)
+	for x := range cappedValid {
+		cappedValid[x] = x >= lockstepRows-1
+	}
+	cases = append(cases, oracleCase{"row-cap", capped, capW, cappedValid})
+
+	// Valid rows against every lane pattern: the first 80 windows are valid,
+	// and from there valid[x] repeats a binary de Bruijn sequence of order 4,
+	// so valid[j..j+3] takes each of the 16 patterns.  Windows 20..30 are
+	// flat, so on those rows the floor test keeps every lane and the mask
+	// alone decides which go exact.
+	const lanesW = 6
+	lanes := randomSeries(200+lanesW-1, 23)
+	for i := 20; i < 30+lanesW; i++ {
+		lanes[i] = -0.75
+	}
+	lanesValid := make([]bool, 200)
+	for x := range lanesValid {
+		lanesValid[x] = x < 80 || "0000100110101111"[(x-80)%16] == '1'
+	}
+	cases = append(cases, oracleCase{"lane-patterns", lanes, lanesW, lanesValid})
+
 	// Constant runs: zero-variance windows keep the floor −Inf, and a
 	// constant against a constant is a 0 tie.
 	flat := randomSeries(260, 11)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"ips/internal/cpu"
 	"ips/internal/errs"
 	"ips/internal/obs"
 	"ips/internal/par"
@@ -24,13 +25,17 @@ type Options struct {
 
 // rollDot advances a diagonal dot product one cell: the window pair
 // (i, j) slides to (i+1, j+1), dropping the products of the elements that
-// leave and entering the ones that arrive.  Every path that walks a matrix
-// diagonal — the self-join and AB-join tile walkers and the STOMPI append
-// in Incremental — MUST roll through this one function: byte-identity
-// between the batch and incremental profiles depends on every cell's dot
-// being computed by the same compiled expression (so e.g. a platform's
-// fused-multiply-add decisions apply identically), not merely the same
-// formula written twice.
+// leave and entering the ones that arrive.  Every Go path that walks a
+// matrix diagonal — the self-join and AB-join tile walkers and the STOMPI
+// append in Incremental — MUST roll through this one function:
+// byte-identity between the batch and incremental profiles depends on every
+// cell's dot being computed by the same compiled expression (so e.g. a
+// platform's fused-multiply-add decisions apply identically), not merely the
+// same formula written twice.  The one other roll is the self-join's AVX
+// lockstep walk (stomp_amd64.s), which performs these two multiplies, the
+// subtraction and the addition in this order and fuses nothing; the amd64
+// compiler fuses a multiply-add only where math.FMA asks for one, so on
+// amd64 both give the same bits at every GOAMD64 level.
 //
 //ips:hotpath
 func rollDot(dot, aOld, bOld, aNew, bNew float64) float64 {
@@ -169,8 +174,9 @@ func mergeRange(parts []*partial, prof *Profile) {
 // distance is computed only where it can improve its row or column (see
 // selfJoinWalker.walk4).  Subsequences within w/2 of the query (the
 // standard exclusion zone, footnote 1 of the paper) are excluded, as are
-// subsequences for which valid is false (nil means all valid).  A NaN or
-// ±Inf anywhere in t is rejected as errs.ErrBadInput.
+// subsequences for which valid is false (nil means all valid; otherwise it
+// has one entry per window).  A NaN or ±Inf anywhere in t, or a valid of
+// another length, is rejected as errs.ErrBadInput.
 //
 // Cancelling ctx stops the join at tile granularity and returns a nil
 // profile with an error matching errs.ErrCanceled; no partial profile
@@ -185,6 +191,11 @@ func SelfJoinCtx(ctx context.Context, t []float64, w int, valid []bool, opt Opti
 	n := len(t) - w + 1
 	if n <= 0 || w <= 0 {
 		return &Profile{W: w}, nil
+	}
+	// The AVX walk reads valid without bounds checks, so a short mask must
+	// not reach it.
+	if valid != nil && len(valid) != n {
+		return nil, errs.BadInput(errs.StageKernel, "mp.selfjoin", "", "mask has %d entries for %d windows", len(valid), n)
 	}
 	p := &Profile{P: make([]float64, n), I: make([]int, n), W: w}
 	excl := w / 2
@@ -308,7 +319,33 @@ func (wk *selfJoinWalker) walk(pt *partial, tl tile) {
 // one per diagonal, over the cells all four have, then each longer
 // diagonal's last cells through walkDiag.  Every dot is the same rollDot
 // chain from the same seed as a one-diagonal walk, so every cell sees the
-// same bits.
+// same bits.  On a CPU with AVX the lockstep rows run in assembly
+// (lockstepAVX), elsewhere in Go (lockstep); both keep the same cells.
+//
+//ips:hotpath
+func (wk *selfJoinWalker) walk4(pt *partial, k int) {
+	d := [4]float64{wk.seed(k), wk.seed(k + 1), wk.seed(k + 2), wk.seed(k + 3)}
+	end := wk.n - k - 3 // cells on diagonal k+3, the shortest of the four
+	if cpu.AVX() {
+		wk.lockstepAVX(pt, k, end, &d)
+	} else {
+		d = wk.lockstep(pt, k, end, d)
+	}
+	// Diagonal k has three cells past the shortest, k+1 two and k+2 one.
+	i, j := end, k+end
+	wk.walkDiag(pt, k, i, wk.next(d[0], i, j))
+	wk.walkDiag(pt, k+1, i, wk.next(d[1], i, j+1))
+	wk.walkDiag(pt, k+2, i, wk.next(d[2], i, j+2))
+}
+
+// lockstepRows caps the rows one lockstepRowsAVX call walks: 2¹⁴ cells,
+// about what a tile costs (see cellsPerTile).  Assembly is never an async
+// preemption point, so a GC stop-the-world waits on one call, never on a
+// whole lockstep group of a long series.
+const lockstepRows = 1 << 12
+
+// lockstep walks rows 0..end−1 of diagonals k..k+3 from their seeds d and
+// returns the dots of row end−1.
 //
 // A cell reaches the exact step only when the division-free test of
 // corrFloor cannot rule out that it improves row i or column j.  Both
@@ -321,11 +358,10 @@ func (wk *selfJoinWalker) walk(pt *partial, tl tile) {
 // go exact.
 //
 //ips:hotpath
-func (wk *selfJoinWalker) walk4(pt *partial, k int) {
+func (wk *selfJoinWalker) lockstep(pt *partial, k, end int, d [4]float64) [4]float64 {
 	t, w, fw := wk.t, wk.w, float64(wk.w)
 	means, stds, valid, c := wk.means, wk.stds, wk.valid, pt.c
-	d0, d1, d2, d3 := wk.seed(k), wk.seed(k+1), wk.seed(k+2), wk.seed(k+3)
-	end := wk.n - k - 3 // cells on diagonal k+3, the shortest of the four
+	d0, d1, d2, d3 := d[0], d[1], d[2], d[3]
 	for i := 0; i < end; i++ {
 		j := k + i
 		if i > 0 {
@@ -370,11 +406,7 @@ func (wk *selfJoinWalker) walk4(pt *partial, k int) {
 			}
 		}
 	}
-	// Diagonal k has three cells past the shortest, k+1 two and k+2 one.
-	i, j := end, k+end
-	wk.walkDiag(pt, k, i, wk.next(d0, i, j))
-	wk.walkDiag(pt, k+1, i, wk.next(d1, i, j+1))
-	wk.walkDiag(pt, k+2, i, wk.next(d2, i, j+2))
+	return [4]float64{d0, d1, d2, d3}
 }
 
 // walkDiag walks diagonal k from cell (i, k+i), whose dot product is dot,

@@ -12,12 +12,13 @@ package mp
 // the merge order (not the tile schedule) defines the result, so the profile
 // stays byte-identical for any tile size and worker count.
 const (
-	// cellsPerTile is the walk one tile should cost: about 65µs at the
-	// 4ns/cell the four-lane STOMP walk measures on a 2-CPU x86-64 host
-	// (BenchmarkSelfJoin N=16384, w=64, one worker, best of three).  Large
-	// enough that dealing a tile from the pool (an atomic add and a context
-	// check, see par.Run) is noise, small enough that the scheduler can
-	// rebalance a slow worker several times per join.
+	// cellsPerTile is the walk one tile should cost: about 11µs at the
+	// 0.7ns/cell the AVX lockstep walk measures on a 2-CPU x86-64 host
+	// (BenchmarkSelfJoin N=16384, w=64, one worker, best of three), about
+	// 43µs at the Go walk's 2.6ns/cell.  Large enough that dealing a tile
+	// from the pool (an atomic add and a context check, see par.Run) is
+	// noise, small enough that the scheduler can rebalance a slow worker
+	// several times per join.
 	cellsPerTile = 1 << 14
 	// minTilesPerWorker/maxTilesPerWorker clamp the rule: at least two
 	// tiles per worker so dynamic scheduling has something to rebalance, at
